@@ -44,6 +44,12 @@ class MappingTable {
 
   std::uint64_t mapped_count() const { return mapped_; }
 
+  /// Forward-map change counter: bumped by every Update, by an Unmap that
+  /// releases a page, and by LoadState — never by lookups or ReleasePpn.
+  /// Callers caching Lookup results (the host scheduler's read index)
+  /// re-probe only when it has moved.
+  std::uint64_t generation() const { return generation_; }
+
   /// Full O(n) cross-check of forward/reverse consistency.
   bool CheckConsistent() const;
 
@@ -55,6 +61,7 @@ class MappingTable {
   std::vector<Ppn> forward_;
   std::vector<Lpn> reverse_;
   std::uint64_t mapped_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace ctflash::ftl

@@ -18,6 +18,25 @@
 //    occupancy timelines), tie-breaking on plane then intake order so
 //    same-die work stripes across planes deterministically.
 //
+// The ready set has two parts.  Host reads, the deep part at high queue
+// depth, live in an exact index: one bucket per (tenant, die, plane) plus
+// one per tenant for unmapped reads, each holding its reads in intake
+// (seq) order.  Every read on one die keys on the same start,
+// max(DieFreeAt(die), now), so that die's best read is the front of its
+// lowest non-empty plane bucket: a pick walks the dies once, O(dies), and
+// never probes the mapping table.  Writes and GC work stay in a short
+// seq-ordered vector keyed per transaction (a GC transaction's die and
+// plane are resolved once, at intake); the read winner and the vector
+// winner merge on (rank, start, plane, seq).  kFifo takes the lowest seq
+// over the bucket fronts and the vector.  ReadyCount() counts both parts.
+//
+// A read's bucket caches its mapping probe, and only a forward-map change
+// can move it: a host write or GC copy remapping the page, a trim, a state
+// restore.  Each of those bumps MappingTable::generation(); when it has
+// moved since the last pick, every ready read is re-probed and only those
+// whose (die, plane) changed move, by seq-ordered insert.  Write-heavy
+// traffic thus pays at most one probe per ready read per pick.
+//
 // GC as preemptible work (FtlConfig::gc_routing = kScheduled): the
 // scheduler pulls relocation copies and victim erases from the FTL's
 // planner (FtlBase::DrainGcTransactions) into the same ready set.  Because
@@ -129,7 +148,8 @@ class IoScheduler {
   void Enqueue(FlashTransaction txn);
 
   std::uint32_t InFlight() const { return in_flight_; }
-  std::size_t ReadyCount() const { return ready_.size(); }
+  /// Ready transactions: indexed host reads plus queued writes and GC.
+  std::size_t ReadyCount() const { return ready_.size() + reads_; }
   std::uint64_t DispatchedCount() const { return dispatched_; }
   /// Highest number of simultaneously in-flight transactions observed.
   std::uint32_t PeakInFlight() const { return peak_in_flight_; }
@@ -162,6 +182,10 @@ class IoScheduler {
     Us enqueue_us = 0;
     /// The write-admission guard held this write at least once.
     bool held = false;
+    /// Conflict die and plane of a GC transaction, resolved once at intake
+    /// (its source page and victim never change).
+    std::uint64_t die = 0;
+    std::uint32_t plane = 0;
   };
 
   /// Out-of-order sort key within a priority rank: earliest cell-op start
@@ -176,19 +200,62 @@ class IoScheduler {
   /// loses every tie against real flash work, wins only over later starts.
   static constexpr std::uint32_t kNeutralPlane = ~0u;
 
+  /// The winner of a pick, with the (rank, key, seq) order it won on:
+  /// the front of read bucket `where` of tenant slot `slot`, or ready_[where]
+  /// when `slot` is kNoPick.  `where` is kNoPick while nothing has won.
+  struct Pick {
+    std::size_t slot = kNoPick;
+    std::size_t where = kNoPick;
+    int rank = 0;
+    DispatchKey key{};
+    std::uint64_t seq = 0;
+
+    /// Takes the candidate if it orders before the current winner.
+    void Offer(std::size_t cand_slot, std::size_t at, int cand_rank,
+               DispatchKey cand_key, std::uint64_t cand_seq);
+  };
+
   void Pump();
   /// Drains the FTL's scheduled-GC planner into the ready set.
   void PullGcWork();
   bool Eligible(const ReadyTxn& rt, bool write_pressure) const;
   int RankOf(const ReadyTxn& rt, bool urgent) const;
-  /// Index of the next transaction to dispatch, or kNoPick when nothing is
+  /// The next transaction to dispatch; `where` is kNoPick when nothing is
   /// eligible (held writes / gated erases wait for state to change).
-  std::size_t PickNext(bool urgent, bool write_pressure) const;
-  DispatchKey KeyOf(const FlashTransaction& txn, Us write_free_at) const;
+  /// Non-const: it re-syncs the read index and advances tenant DRR state.
+  Pick PickNext(bool urgent, bool write_pressure);
+  /// Key of a write or GC transaction (reads are keyed per die by the index).
+  DispatchKey KeyOf(const ReadyTxn& rt, Us write_free_at) const;
+  /// Offers the best read of tenant slot `slot` to `best`.
+  void BestReadIn(std::size_t slot, Us now, Pick& best) const;
+  /// Removes the picked transaction from the ready set.
+  ReadyTxn Take(const Pick& pick);
   /// Resolves the observer-facing dispatch context (target die and its
   /// availability); only computed when observers are attached.
   sched::DispatchContext ContextOf(const ReadyTxn& rt) const;
-  void Dispatch(std::size_t idx);
+  void Dispatch(const ReadyTxn& rt);
+
+  // --- host-read index (see file header) -----------------------------------
+  /// Bucket of a read within its tenant slot: die * planes + plane, or the
+  /// slot's last bucket when unmapped (and for every read under kFifo, which
+  /// never keys).
+  std::size_t LocalBucketOf(Lpn lpn) const;
+  /// Tenant slot of a read: its tenant, or one shared slot for untenanted
+  /// reads (the only slot without a tenant table).
+  std::size_t SlotOf(const FlashTransaction& txn) const;
+  /// Seq-ordered insert into bucket `local` of tenant slot `slot`.
+  void InsertRead(std::size_t slot, std::size_t local, ReadyTxn rt);
+  /// Book-keeps one read entering (`add`) or leaving a bucket.
+  void CountRead(std::size_t slot, std::size_t local, bool add);
+  /// Calls fn(die) for each die holding mapped reads of `slot`.
+  template <typename Fn>
+  void ForEachReadDie(std::size_t slot, Fn&& fn) const;
+  /// Moves the reads of a bucket whose probe now names another bucket into
+  /// remap_scratch_.
+  void ReprobeBucket(std::size_t slot, std::size_t local);
+  /// Re-probes the ready reads when the mapping generation moved since the
+  /// last sync and moves those whose bucket changed.
+  void SyncReadIndex();
 
   ssd::Ssd& ssd_;
   sim::EventQueue& queue_;
@@ -197,7 +264,7 @@ class IoScheduler {
   std::uint32_t gc_aging_limit_;
   std::uint32_t write_aging_limit_;
   /// Borrowed from the host interface; non-null only in multi-tenant mode.
-  /// PickNext (const) arbitrates through it — tenant DRR state advances
+  /// PickNext arbitrates through it — tenant DRR state advances
   /// exactly once per dispatched transaction.
   qos::TenantTable* tenants_;
   bool attached_gc_ = false;  ///< this scheduler is the FTL's GC sink
@@ -205,14 +272,32 @@ class IoScheduler {
   std::uint32_t peak_in_flight_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t next_seq_ = 0;
+  /// Ready host writes and GC transactions, in seq order.
   std::vector<ReadyTxn> ready_;
+  std::uint32_t planes_ = 0;  ///< planes per die
+  /// Buckets per tenant slot: one per (die, plane), then one unmapped.
+  std::size_t slot_buckets_ = 0;
+  std::vector<std::vector<ReadyTxn>> read_buckets_;  ///< [slot][bucket]
+  /// Dies holding mapped reads, a bit per die: [slot][die / 64].
+  std::vector<std::uint64_t> die_mask_;
+  std::size_t mask_words_ = 0;
+  std::vector<std::size_t> slot_reads_;  ///< [slot]
+  std::size_t reads_ = 0;
+  /// Mapping generation the read buckets were last synced to.
+  std::uint64_t map_generation_ = 0;
+  struct Remap {
+    std::size_t slot;
+    std::size_t local;
+    ReadyTxn rt;
+  };
+  std::vector<Remap> remap_scratch_;  ///< SyncReadIndex scratch
   /// Copies of a GC job not yet dispatched, keyed by victim block; the
   /// job's erase is eligible only once its entry drains to zero.
   std::unordered_map<BlockId, std::uint32_t> gc_copies_undispatched_;
   std::vector<sched::FlashTransaction> gc_intake_;  ///< drain scratch buffer
   /// Per-tenant "has eligible work in the winning rank" scratch for
-  /// PickNext (mutable: PickNext is logically const; this is a buffer).
-  mutable std::vector<bool> arb_active_;
+  /// PickNext.
+  std::vector<bool> arb_active_;
   std::size_t gc_ready_ = 0;
   std::uint64_t gc_dispatched_ = 0;
   std::uint64_t gc_completed_ = 0;

@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 namespace ctflash::sim {
@@ -11,7 +12,8 @@ std::uint64_t EventQueue::ScheduleAt(Us at, EventCallback cb) {
   }
   if (!cb) throw std::invalid_argument("EventQueue::ScheduleAt: null callback");
   const std::uint64_t handle = next_handle_++;
-  heap_.push(Entry{at, next_seq_++, handle, std::move(cb)});
+  heap_.push_back(Entry{at, next_seq_++, handle, std::move(cb)});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   ++live_events_;
   return handle;
 }
@@ -26,9 +28,14 @@ std::uint64_t EventQueue::ScheduleAfter(Us delay, EventCallback cb) {
 bool EventQueue::Cancel(std::uint64_t handle) {
   if (handle == 0 || handle >= next_handle_) return false;
   if (IsCancelled(handle)) return false;
-  // We cannot remove from the heap lazily-free; mark and skip on pop.
+  // A fired event has left the heap; only a pending one can be cancelled.
+  const bool pending =
+      std::any_of(heap_.begin(), heap_.end(),
+                  [handle](const Entry& e) { return e.handle == handle; });
+  if (!pending) return false;
+  // Removing from the middle of the heap is not worth it: mark and skip on
+  // pop.
   cancelled_.push_back(handle);
-  if (live_events_ == 0) return false;
   --live_events_;
   return true;
 }
@@ -42,10 +49,10 @@ bool EventQueue::Step() {
   while (!heap_.empty()) {
     // Move the entry out instead of copying: the std::function payload owns
     // heap storage, and this pop is the hottest line of the simulator.
-    // Mutating top() is safe because pop() immediately discards the slot.
-    Entry top = std::move(const_cast<Entry&>(heap_.top()));
-    heap_.pop();
-    if (IsCancelled(top.handle)) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    Entry top = std::move(heap_.back());
+    heap_.pop_back();
+    if (!cancelled_.empty() && IsCancelled(top.handle)) {
       cancelled_.erase(
           std::find(cancelled_.begin(), cancelled_.end(), top.handle));
       continue;
@@ -67,7 +74,7 @@ std::uint64_t EventQueue::RunToCompletion() {
 std::uint64_t EventQueue::RunUntil(Us deadline) {
   std::uint64_t fired = 0;
   while (!heap_.empty()) {
-    if (heap_.top().at > deadline) break;
+    if (heap_.front().at > deadline) break;
     if (Step()) ++fired;
   }
   if (now_ < deadline) now_ = deadline;

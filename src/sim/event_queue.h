@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/types.h"
@@ -33,6 +32,8 @@ class EventQueue {
   std::uint64_t ScheduleAfter(Us delay, EventCallback cb);
 
   /// Cancels a pending event; returns false if already fired/cancelled.
+  /// O(pending): the handle is looked up in the heap, so Step pays nothing
+  /// for cancellation support while nothing is cancelled.
   bool Cancel(std::uint64_t handle);
 
   /// Fires the next event; returns false when the queue is empty.
@@ -59,7 +60,9 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  /// Min-heap on (at, seq) via std::push_heap/pop_heap with greater<>;
+  /// a plain vector so Cancel can tell a pending handle from a fired one.
+  std::vector<Entry> heap_;
   std::vector<std::uint64_t> cancelled_;  // sorted-insert not needed; small
   Us now_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "util/random.h"
+#include "util/serial.h"
 
 namespace ctflash::ftl {
 namespace {
@@ -119,6 +121,36 @@ TEST(MappingTable, RandomOpStreamStaysConsistent) {
     }
   }
   EXPECT_TRUE(t.CheckConsistent());
+}
+
+TEST(MappingTable, GenerationBumpsOnlyOnForwardMapChanges) {
+  MappingTable m(8, 16);
+  std::uint64_t gen = m.generation();
+  m.Update(1, 5);
+  EXPECT_GT(m.generation(), gen);
+  gen = m.generation();
+  m.Update(1, 6);  // remap of a mapped lpn
+  EXPECT_GT(m.generation(), gen);
+
+  gen = m.generation();
+  EXPECT_EQ(m.Lookup(1), 6u);
+  m.ReleasePpn(5);  // reverse map only (the page 1 left behind)
+  EXPECT_EQ(m.Unmap(2), kInvalidPpn);  // nothing mapped: no change
+  EXPECT_EQ(m.generation(), gen);
+
+  EXPECT_EQ(m.Unmap(1), 6u);
+  EXPECT_GT(m.generation(), gen);
+
+  m.Update(3, 7);
+  util::StateWriter w;
+  m.SaveState(w);
+  MappingTable restored(8, 16);
+  gen = restored.generation();
+  const std::vector<std::uint8_t> bytes = w.TakeBytes();
+  util::StateReader r(bytes);
+  restored.LoadState(r);
+  EXPECT_GT(restored.generation(), gen);
+  EXPECT_EQ(restored.Lookup(3), 7u);
 }
 
 }  // namespace

@@ -64,6 +64,21 @@ TEST(EventQueue, CancelPreventsFiring) {
   EXPECT_FALSE(q.Cancel(h));  // already cancelled
 }
 
+TEST(EventQueue, CancelAfterFiringReturnsFalseAndKeepsCount) {
+  EventQueue q;
+  int fired = 0;
+  const auto first = q.ScheduleAt(1, [&](Us) { ++fired; });
+  q.ScheduleAt(2, [&](Us) { ++fired; });
+  ASSERT_TRUE(q.Step());
+  EXPECT_FALSE(q.Cancel(first));  // already fired
+  EXPECT_FALSE(q.Empty());
+  EXPECT_EQ(q.PendingCount(), 1u);
+  q.RunToCompletion();
+  EXPECT_EQ(fired, 2);
+  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.PendingCount(), 0u);
+}
+
 TEST(EventQueue, CancelInvalidHandleReturnsFalse) {
   EventQueue q;
   EXPECT_FALSE(q.Cancel(0));
