@@ -256,13 +256,19 @@ double RunWeightRatio(ssd::FtlKind kind, std::uint64_t device_bytes,
   host::HostInterface host(ssd, cfg);
   host.AdvanceTo(prefill_end);
 
-  std::uint64_t dispatches[2] = {0, 0};
-  bool counting = true;
-  host.scheduler().OnDispatch([&](const host::FlashTransaction& txn) {
-    if (!counting || txn.tenant == qos::kNoTenant) return;
-    dispatches[txn.tenant]++;
-    if (dispatches[txn.tenant] >= requests) counting = false;
-  });
+  // Counts per-tenant dispatches until the first tenant reaches `requests`.
+  struct WindowCounter final : sched::SchedulerObserver {
+    std::uint64_t limit = 0;
+    std::uint64_t dispatches[2] = {0, 0};
+    bool counting = true;
+    void OnDispatch(const host::FlashTransaction& txn,
+                    const sched::DispatchContext&) override {
+      if (!counting || txn.tenant == qos::kNoTenant) return;
+      if (++dispatches[txn.tenant] >= limit) counting = false;
+    }
+  } window;
+  window.limit = requests;
+  host.scheduler().AttachObserver(&window);
 
   host::TenantWorkload base;
   base.queue_depth = 16;
@@ -277,11 +283,11 @@ double RunWeightRatio(ssd::FtlKind kind, std::uint64_t device_bytes,
   workloads[1].seed = 22;
   host::MultiTenantGenerator(host, workloads).Run();
 
-  if (counting || dispatches[1] == 0) {
+  if (window.counting || window.dispatches[1] == 0) {
     throw std::runtime_error("weight-ratio run never reached saturation");
   }
-  return static_cast<double>(dispatches[0]) /
-         static_cast<double>(dispatches[1]);
+  return static_cast<double>(window.dispatches[0]) /
+         static_cast<double>(window.dispatches[1]);
 }
 
 void CheckArms(const ArmResult& solo, const ArmResult& no_qos,

@@ -10,7 +10,6 @@
 
 #include "replay/trace_source.h"
 #include "util/config.h"
-#include "util/table_printer.h"
 
 namespace ctflash::bench {
 
@@ -141,32 +140,8 @@ BenchOptions BenchOptions::FromArgs(int argc, char** argv) {
       }
       opt.path = rest;
       o.tenant_traces.push_back(opt);
-    } else if (arg == "--qd-list") {
-      o.qd_list.clear();
-      std::istringstream list(next());
-      std::string item;
-      while (std::getline(list, item, ',')) {
-        // Digits only: stoul would silently wrap "-1" and accept "8x".
-        const std::string depth = util::Trim(item);
-        const bool numeric =
-            !depth.empty() &&
-            depth.find_first_not_of("0123456789") == std::string::npos;
-        if (!numeric || depth.size() > 9) {
-          throw std::invalid_argument("--qd-list: bad queue depth '" + item +
-                                      "'");
-        }
-        o.qd_list.push_back(static_cast<std::uint32_t>(std::stoul(depth)));
-      }
-      if (o.qd_list.empty()) {
-        throw std::invalid_argument("--qd-list: no queue depths given");
-      }
     } else if (arg == "--qd-requests") {
       o.qd_requests = std::stoull(next());
-    } else if (arg == "--frontiers") {
-      o.write_frontiers = static_cast<std::uint32_t>(std::stoul(next()));
-      if (o.write_frontiers == 0) {
-        throw std::invalid_argument("--frontiers must be >= 1");
-      }
     } else if (arg == "--json") {
       o.json_path = next();
     } else if (arg == "--trace-out") {
@@ -224,61 +199,6 @@ ComparisonResult RunComparison(
   out.ppb = RunOne(ssd::FtlKind::kPpb, workload, page_size_bytes, speed_ratio,
                    options, ppb_override);
   return out;
-}
-
-ssd::SsdConfig QdDeviceConfig(std::uint32_t channels,
-                              const BenchOptions& options) {
-  nand::NandGeometry shape;  // Table 1
-  shape.channels = channels;
-  auto cfg = ssd::ScaledConfig(ssd::FtlKind::kConventional,
-                               options.device_bytes, 16 * 1024,
-                               /*speed_ratio=*/2.0, shape);
-  cfg.timing_mode = ftl::TimingMode::kQueued;
-  return cfg;
-}
-
-ssd::SsdConfig WriteDeviceConfig(std::uint32_t channels,
-                                 std::uint32_t write_frontiers,
-                                 const BenchOptions& options) {
-  auto cfg = QdDeviceConfig(channels, options);
-  cfg.ftl.write_frontiers = write_frontiers;
-  // FtlBase requires spares for gc_threshold_high + one frontier set per
-  // stream; keep a few extra so GC has reclaimable victims under churn.
-  const double min_spare =
-      static_cast<double>(cfg.ftl.gc_threshold_high) + 2.0 * write_frontiers +
-      8.0;
-  const double min_op =
-      min_spare / static_cast<double>(cfg.geometry.TotalBlocks());
-  if (min_op > cfg.ftl.op_ratio) cfg.ftl.op_ratio = min_op;
-  return cfg;
-}
-
-std::vector<ssd::QdSweepPoint> RunQdSweep(const ssd::SsdConfig& config,
-                                          const BenchOptions& options) {
-  ssd::QdSweepOptions sweep;
-  sweep.queue_depths = options.qd_list;
-  sweep.requests_per_point = options.qd_requests;
-  return ssd::RunQdSweep(config, sweep);
-}
-
-void PrintQdSweep(const std::string& label,
-                  const std::vector<ssd::QdSweepPoint>& points) {
-  std::cout << "--- " << label << " ---\n";
-  util::TablePrinter table({"QD", "IOPS", "mean us", "p50 us", "p95 us",
-                            "p99 us", "p99.9 us", "die util", "chan util"});
-  for (const auto& p : points) {
-    table.AddRow({std::to_string(p.queue_depth),
-                  util::TablePrinter::FormatDouble(p.iops, 0),
-                  util::TablePrinter::FormatDouble(p.mean_us, 1),
-                  util::TablePrinter::FormatDouble(p.p50_us, 1),
-                  util::TablePrinter::FormatDouble(p.p95_us, 1),
-                  util::TablePrinter::FormatDouble(p.p99_us, 1),
-                  util::TablePrinter::FormatDouble(p.p999_us, 1),
-                  util::TablePrinter::FormatPercent(p.die_utilization),
-                  util::TablePrinter::FormatPercent(p.channel_utilization)});
-  }
-  table.Print();
-  std::cout << "\n";
 }
 
 void PrintHeader(const std::string& title, const std::string& paper_ref,

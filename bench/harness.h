@@ -20,9 +20,7 @@
 //                             the multi-tenant benches (optional @host
 //                             keeps only that Hostname's records when one
 //                             combined CSV carries several servers)
-//   --qd-list <a,b,c>         queue depths for QD-scaling benches
-//   --qd-requests <n>         requests per QD sweep point
-//   --frontiers <n>           write frontiers for the striped series
+//   --qd-requests <n>         closed-loop requests (tenant/trace-replay benches)
 //   --json <path>             machine-readable results (benches that emit it)
 //   --trace-out <path>        Chrome/Perfetto trace JSON (benches that trace)
 //   --metrics-out <path>      MetricsRegistry JSON dump (benches that trace)
@@ -110,9 +108,7 @@ struct BenchOptions {
   std::string web_trace_path;
   std::string trace_file;        ///< --trace-file (also fills the two above)
   std::vector<TenantTraceOption> tenant_traces;
-  std::vector<std::uint32_t> qd_list = {1, 2, 4, 8, 16, 32, 64};
   std::uint64_t qd_requests = 20'000;
-  std::uint32_t write_frontiers = 8;  ///< striped series of bench_write_scaling
   std::string json_path;              ///< "" = the bench's default file name
   /// --trace-out: where tracing benches write the Chrome/Perfetto trace
   /// JSON ("" = no trace export).  Shared by every bench via the harness.
@@ -163,27 +159,5 @@ ComparisonResult RunComparison(
 /// Prints the standard bench header (device, workload sizes, paper pointer).
 void PrintHeader(const std::string& title, const std::string& paper_ref,
                  const BenchOptions& options);
-
-/// Device for queue-depth scaling studies: Table 1 block shape and timing
-/// scaled to options.device_bytes, with `channels` channels and queued
-/// (contention-exposing) timing.
-ssd::SsdConfig QdDeviceConfig(std::uint32_t channels,
-                              const BenchOptions& options);
-
-/// QdDeviceConfig plus the die-striped write-path knobs, with the
-/// over-provisioned spare pool resized for the larger open-block population
-/// (2 streams x `write_frontiers` open blocks) so small smoke devices keep
-/// valid GC thresholds.
-ssd::SsdConfig WriteDeviceConfig(std::uint32_t channels,
-                                 std::uint32_t write_frontiers,
-                                 const BenchOptions& options);
-
-/// Runs a closed-loop QD sweep on `config` using the harness knobs.
-std::vector<ssd::QdSweepPoint> RunQdSweep(const ssd::SsdConfig& config,
-                                          const BenchOptions& options);
-
-/// Prints one sweep as a table: QD, IOPS, mean/p50/p95/p99/p99.9, util.
-void PrintQdSweep(const std::string& label,
-                  const std::vector<ssd::QdSweepPoint>& points);
 
 }  // namespace ctflash::bench

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/config.h"
+
 namespace ctflash::campaign {
 
 namespace {
@@ -336,6 +338,14 @@ std::int64_t Json::GetIntOr(const std::string& key, std::int64_t fallback) const
 std::uint64_t Json::GetUintOr(const std::string& key, std::uint64_t fallback) const {
   const Json* v = Get(key);
   return v == nullptr || v->IsNull() ? fallback : v->AsUint();
+}
+
+std::uint64_t Json::GetBytesOr(const std::string& key,
+                               std::uint64_t fallback) const {
+  const Json* v = Get(key);
+  if (v == nullptr || v->IsNull()) return fallback;
+  if (v->IsNumber()) return v->AsUint();
+  return util::ParseByteSize(v->AsString());
 }
 
 std::string Json::GetStringOr(const std::string& key,

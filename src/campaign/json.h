@@ -69,6 +69,9 @@ class Json {
   double GetDoubleOr(const std::string& key, double fallback) const;
   std::int64_t GetIntOr(const std::string& key, std::int64_t fallback) const;
   std::uint64_t GetUintOr(const std::string& key, std::uint64_t fallback) const;
+  /// Byte sizes: a JSON number or a util::ParseByteSize string ("64MiB");
+  /// throws on any other kind or a malformed size string.
+  std::uint64_t GetBytesOr(const std::string& key, std::uint64_t fallback) const;
   std::string GetStringOr(const std::string& key, const std::string& fallback) const;
 
   /// Object field assignment (makes this an object if null).

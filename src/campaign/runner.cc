@@ -20,7 +20,6 @@
 #include "ssd/ssd.h"
 #include "trace/synthetic.h"
 #include "trace/trace.h"
-#include "util/config.h"
 #include "util/parallel.h"
 #include "util/stats.h"
 #include "util/types.h"
@@ -32,14 +31,6 @@ namespace {
 double WallMs(std::chrono::steady_clock::time_point from,
               std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
-std::uint64_t BytesOf(const Json& parent, const std::string& key,
-                      std::uint64_t fallback) {
-  const Json* v = parent.Get(key);
-  if (v == nullptr || v->IsNull()) return fallback;
-  if (v->IsNumber()) return v->AsUint();
-  return util::ParseByteSize(v->AsString());
 }
 
 using util::ParallelFor;
@@ -75,8 +66,16 @@ Json RunClosedLoop(host::HostInterface& host, const Json& w,
       static_cast<std::uint32_t>(w.GetUintOr("queue_depth", 8));
   cfg.total_requests = w.GetUintOr("requests", 10'000);
   cfg.read_fraction = w.GetDoubleOr("read_fraction", 1.0);
-  cfg.request_bytes = BytesOf(w, "request_bytes", 16 * kKiB);
-  cfg.footprint_bytes = BytesOf(w, "footprint", prefill_bytes);
+  cfg.request_bytes = w.GetBytesOr("request_bytes", 16 * kKiB);
+  cfg.footprint_bytes = w.GetBytesOr("footprint", prefill_bytes);
+  if (const Json* pct = w.Get("footprint_pct");
+      pct != nullptr && !pct->IsNull()) {
+    if (w.Get("footprint") != nullptr || pct->AsUint() > 100) {
+      throw std::runtime_error(
+          "campaign: footprint_pct must be <= 100 and excludes footprint");
+    }
+    cfg.footprint_bytes = host.ssd().LogicalBytes() / 100 * pct->AsUint();
+  }
   cfg.seed = seed;
   cfg.Validate();
   host::ClosedLoopGenerator gen(host, cfg);
@@ -102,9 +101,9 @@ Json RunTenants(host::HostInterface& host, const Json& w,
     tw.interarrival_us = static_cast<Us>(t.GetUintOr("interarrival_us", 0));
     tw.total_requests = t.GetUintOr("requests", 1'000);
     tw.read_fraction = t.GetDoubleOr("read_fraction", 1.0);
-    tw.request_bytes = BytesOf(t, "request_bytes", 16 * kKiB);
-    tw.footprint_base_bytes = BytesOf(t, "footprint_base", i * slice);
-    tw.footprint_bytes = BytesOf(t, "footprint", slice);
+    tw.request_bytes = t.GetBytesOr("request_bytes", 16 * kKiB);
+    tw.footprint_base_bytes = t.GetBytesOr("footprint_base", i * slice);
+    tw.footprint_bytes = t.GetBytesOr("footprint", slice);
     tw.seed = t.GetUintOr("seed", seed + i);
     tw.Validate();
     workloads.push_back(std::move(tw));
@@ -136,7 +135,7 @@ Json RunSynthetic(host::HostInterface& host, const Json& w,
                   std::uint64_t prefill_bytes, std::uint64_t seed) {
   const std::string preset = w.GetStringOr("preset", "web");
   const std::uint64_t requests = w.GetUintOr("requests", 20'000);
-  const std::uint64_t footprint = BytesOf(w, "footprint", prefill_bytes);
+  const std::uint64_t footprint = w.GetBytesOr("footprint", prefill_bytes);
   trace::SyntheticWorkloadConfig cfg;
   if (preset == "web") {
     cfg = trace::WebServerWorkload(footprint, requests, seed);
@@ -293,7 +292,7 @@ ArmResult RunCampaignArm(const ArmSpec& arm, const DeviceState* shared) {
     std::unique_ptr<obs::Tracer> tracer;
     if (arm.trace_phases) {
       obs::TracerConfig tc;
-      tc.record_spans = false;
+      tc.record_spans = arm.record_spans;
       tc.metrics_epoch_us = arm.metrics_epoch_us;
       tc.epoch_base_us = prefill_end;
       tracer = std::make_unique<obs::Tracer>(tc);
@@ -341,6 +340,7 @@ ArmResult RunCampaignArm(const ArmSpec& arm, const DeviceState* shared) {
       health->Observe(CollectHealthSample(ssd, tracer.get()));
       out.metrics["health"] = health->ToJson();
     }
+    if (arm.record_spans) out.tracer = std::move(tracer);
     out.ok = true;
   } catch (const std::exception& e) {
     out.ok = false;

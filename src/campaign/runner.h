@@ -24,12 +24,17 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "campaign/json.h"
 #include "campaign/snapshot.h"
 #include "campaign/spec.h"
+
+namespace ctflash::obs {
+class Tracer;
+}  // namespace ctflash::obs
 
 namespace ctflash::campaign {
 
@@ -46,6 +51,9 @@ struct ArmResult {
   std::string outcome;
   Json config;        ///< ArmSpec::ConfigSummary()
   Json metrics;       ///< workload + device counters; deterministic
+  /// The arm's lifecycle tracer when its spec records spans
+  /// (ArmSpec::record_spans), for timeline and metrics export.
+  std::shared_ptr<const obs::Tracer> tracer;
 };
 
 struct CampaignResult {

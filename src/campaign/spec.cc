@@ -3,20 +3,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/config.h"
-
 namespace ctflash::campaign {
 
 namespace {
-
-/// Byte sizes may be JSON numbers or strings like "256MiB".
-std::uint64_t BytesOf(const Json& parent, const std::string& key,
-                      std::uint64_t fallback) {
-  const Json* v = parent.Get(key);
-  if (v == nullptr || v->IsNull()) return fallback;
-  if (v->IsNumber()) return v->AsUint();
-  return util::ParseByteSize(v->AsString());
-}
 
 ssd::FtlKind ParseFtlKind(const std::string& s) {
   if (s == "conventional") return ssd::FtlKind::kConventional;
@@ -122,7 +111,8 @@ ArmSpec ResolveArm(const Json& merged, std::uint64_t index,
   // device configuration — like faults it never affects the snapshot key.
   if (const Json* o = merged.Get("observability");
       o != nullptr && !o->IsNull()) {
-    arm.trace_phases = o->GetBoolOr("phases", false);
+    arm.record_spans = o->GetBoolOr("spans", false);
+    arm.trace_phases = o->GetBoolOr("phases", false) || arm.record_spans;
     arm.metrics_epoch_us = static_cast<Us>(o->GetUintOr("metrics_epoch_us", 0));
     // "health": true enables the default thresholds; an object enables and
     // overrides them.
@@ -161,9 +151,9 @@ ArmSpec ResolveArm(const Json& merged, std::uint64_t index,
 DeviceSectionSpec ResolveDeviceSection(const Json& merged) {
   DeviceSectionSpec out;
 
-  const std::uint64_t device_bytes = BytesOf(merged, "device_bytes", 256 * kMiB);
+  const std::uint64_t device_bytes = merged.GetBytesOr("device_bytes", 256 * kMiB);
   const auto page_size =
-      static_cast<std::uint32_t>(BytesOf(merged, "page_size", 16 * kKiB));
+      static_cast<std::uint32_t>(merged.GetBytesOr("page_size", 16 * kKiB));
   const double speed_ratio = merged.GetDoubleOr("speed_ratio", 2.0);
   const auto channels =
       static_cast<std::uint32_t>(merged.GetUintOr("channels", 0));
@@ -191,6 +181,7 @@ DeviceSectionSpec ResolveDeviceSection(const Json& merged) {
       ParseGcRouting(merged.GetStringOr("gc_routing", "inline"));
   out.device.ftl.write_frontiers =
       static_cast<std::uint32_t>(merged.GetUintOr("write_frontiers", 1));
+  ssd::ReserveSparePool(out.device);
   out.device.ftl.stripe_policy =
       ParseStripePolicy(merged.GetStringOr("stripe_policy", "round_robin"));
   if (const Json* ppb = merged.Get("ppb")) {
@@ -226,7 +217,7 @@ DeviceSectionSpec ResolveDeviceSection(const Json& merged) {
                              std::to_string(prefill_pct));
   }
   out.prefill_pct = static_cast<std::uint32_t>(prefill_pct);
-  out.prefill_chunk_bytes = BytesOf(merged, "prefill_chunk", 256 * kKiB);
+  out.prefill_chunk_bytes = merged.GetBytesOr("prefill_chunk", 256 * kKiB);
 
   // "error_model" arms the synthetic layer error model on the device
   // (device configuration: part of the snapshot shape key).
@@ -254,8 +245,8 @@ Json ArmSpec::ConfigSummary() const {
   summary["ftl"] = merged.GetStringOr("ftl", "conventional");
   summary["gc_routing"] = merged.GetStringOr("gc_routing", "inline");
   summary["timing_mode"] = merged.GetStringOr("timing_mode", "queued");
-  summary["device_bytes"] = BytesOf(merged, "device_bytes", 256 * kMiB);
-  summary["page_size"] = BytesOf(merged, "page_size", 16 * kKiB);
+  summary["device_bytes"] = merged.GetBytesOr("device_bytes", 256 * kMiB);
+  summary["page_size"] = merged.GetBytesOr("page_size", 16 * kKiB);
   summary["write_frontiers"] = merged.GetUintOr("write_frontiers", 1);
   summary["seed"] = seed;
   if (const Json* w = merged.Get("workload")) {
@@ -302,11 +293,24 @@ void SetJsonPath(Json& root, const std::string& path, const Json& value) {
     if (part.empty()) {
       throw std::runtime_error("campaign: empty segment in path \"" + path + "\"");
     }
+    Json* child = nullptr;
+    if (node->IsArray()) {
+      JsonArray& items = node->AsArray();
+      if (part.size() > 9 ||
+          part.find_first_not_of("0123456789") != std::string::npos ||
+          std::stoull(part) >= items.size()) {
+        throw std::runtime_error("campaign: no array element \"" + part +
+                                 "\" in path \"" + path + "\"");
+      }
+      child = &items[std::stoull(part)];
+    } else {
+      child = &(*node)[part];
+    }
     if (dot == std::string::npos) {
-      (*node)[part] = value;
+      *child = value;
       return;
     }
-    node = &(*node)[part];
+    node = child;
     start = dot + 1;
   }
 }
@@ -331,6 +335,22 @@ CampaignSpec CampaignSpec::Parse(const Json& root) {
     throw std::runtime_error("campaign: workers must be >= 1");
   }
   spec.share_prefill = root.GetBoolOr("share_prefill", true);
+  if (const Json* checks = root.Get("checks")) {
+    for (const Json& c : checks->AsArray()) {
+      const std::string where =
+          "campaign: checks[" + std::to_string(spec.checks.size()) + "]: ";
+      if (c.Get("file") != nullptr) {
+        throw std::runtime_error(where +
+                                 "\"file\" is not allowed; campaign checks "
+                                 "read the campaign's own report");
+      }
+      try {
+        spec.checks.push_back(Check::Parse(c));
+      } catch (const std::runtime_error& e) {
+        throw std::runtime_error(where + e.what());
+      }
+    }
+  }
 
   Json defaults;
   if (const Json* d = root.Get("defaults")) {

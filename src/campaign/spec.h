@@ -28,7 +28,14 @@
 // workload.queue_depth=4" etc.  Arms that do not override `seed` get
 // `defaults.seed + arm_index` so replicated arms decorrelate by default.
 //
-// Workload kinds: "closed_loop" (fixed queue depth, uniform random),
+// A top-level `checks` array (campaign/checks.h) asserts numbers of the
+// run's report ("arms.1.metrics.read_latency.p99_us" over
+// "arms.0.metrics.read_latency.p99_us" strictly below 1, ...); checks are
+// parsed with the spec, so a malformed check fails before any arm runs.
+//
+// Workload kinds: "closed_loop" (fixed queue depth, uniform random; the
+// random span is `footprint` bytes or `footprint_pct` of the logical space,
+// default the prefilled span),
 // "tenants" (multi-tenant closed/paced loops; requires a `qos` tenant list),
 // "synthetic" ("web" / "media" preset traces replayed open-loop), and
 // "trace" (an MSR-format CSV replayed open-loop).
@@ -38,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/checks.h"
 #include "campaign/json.h"
 #include "ftl/flash_target.h"
 #include "host/host_interface.h"
@@ -81,6 +89,9 @@ struct ArmSpec {
   /// workload and the result carries a per-arm phase breakdown.
   bool trace_phases = false;
   Us metrics_epoch_us = 0;
+  /// {"observability": {"spans": true}} also records timeline spans and
+  /// keeps the arm's tracer in its result (Chrome/Perfetto export).
+  bool record_spans = false;
   /// Health evaluation ({"observability": {"health": true}} or
   /// {"health": {<HealthConfig knobs>}}): the runner samples the device's
   /// wear/media/GC counters before and after the measured workload, scores
@@ -102,6 +113,8 @@ struct CampaignSpec {
   /// campaign bench compares against.
   bool share_prefill = true;
   std::vector<ArmSpec> arms;
+  /// Assertions over the campaign report (Report()); none by default.
+  std::vector<Check> checks;
 
   /// Parses and expands a spec; throws std::runtime_error /
   /// std::invalid_argument naming the offending field.
@@ -135,7 +148,8 @@ DeviceSectionSpec ResolveDeviceSection(const Json& merged);
 Json MergePatch(const Json& base, const Json& patch);
 
 /// Sets `root[path]` where `path` is dot-separated ("workload.queue_depth"),
-/// creating intermediate objects.
+/// creating intermediate objects.  An all-digit segment indexes an existing
+/// array ("arms.1.write_frontiers").
 void SetJsonPath(Json& root, const std::string& path, const Json& value);
 
 /// Renders a grid/override value for arm names ("ppb", "32", "2.5").

@@ -4,20 +4,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/config.h"
-
 namespace ctflash::cluster {
 
 namespace {
-
-/// Byte sizes may be JSON numbers or strings like "64MiB".
-std::uint64_t BytesOf(const Json& parent, const std::string& key,
-                      std::uint64_t fallback) {
-  const Json* v = parent.Get(key);
-  if (v == nullptr || v->IsNull()) return fallback;
-  if (v->IsNumber()) return v->AsUint();
-  return util::ParseByteSize(v->AsString());
-}
 
 RebalancePolicy ParsePolicy(const std::string& s) {
   if (s == "on_failure") return RebalancePolicy::kOnFailure;
@@ -134,7 +123,7 @@ ClusterSpec ClusterSpec::Parse(const Json& root) {
   if (const Json* w = root.Get("workload"); w != nullptr) {
     spec.rate_iops = w->GetDoubleOr("rate_iops", 20'000.0);
     spec.read_fraction = w->GetDoubleOr("read_fraction", 0.9);
-    spec.request_bytes = BytesOf(*w, "request_bytes", 16 * kKiB);
+    spec.request_bytes = w->GetBytesOr("request_bytes", 16 * kKiB);
     spec.epochs = static_cast<std::uint32_t>(w->GetUintOr("epochs", 6));
     spec.epoch_us = static_cast<Us>(w->GetUintOr("epoch_us", 250'000));
     spec.timeout_us = static_cast<Us>(w->GetUintOr("timeout_us", 1'000'000));
@@ -142,7 +131,7 @@ ClusterSpec ClusterSpec::Parse(const Json& root) {
   if (const Json* r = root.Get("rebalance"); r != nullptr) {
     spec.policy = ParsePolicy(r->GetStringOr("policy", "on_failure"));
     spec.fail_on_lost_pages = r->GetUintOr("fail_on_lost_pages", 1);
-    spec.migration_chunk_bytes = BytesOf(*r, "migration_chunk", 64 * kKiB);
+    spec.migration_chunk_bytes = r->GetBytesOr("migration_chunk", 64 * kKiB);
     spec.rebuild_epochs =
         static_cast<std::uint32_t>(r->GetUintOr("rebuild_epochs", 0));
     spec.rebuild_bytes_per_sec = r->GetDoubleOr("rebuild_bytes_per_sec", 0.0);
@@ -156,7 +145,7 @@ ClusterSpec ClusterSpec::Parse(const Json& root) {
     }
     if (const Json* sb = r->Get("shard_bytes");
         sb != nullptr && !(sb->IsString() && sb->AsString() == "auto")) {
-      spec.shard_bytes = BytesOf(*r, "shard_bytes", 0);
+      spec.shard_bytes = r->GetBytesOr("shard_bytes", 0);
     }
     if (const Json* h = r->Get("health"); h != nullptr && !h->IsNull()) {
       spec.health.ewma_alpha =

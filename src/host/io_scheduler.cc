@@ -10,28 +10,6 @@
 
 namespace ctflash::host {
 
-namespace {
-
-/// Adapter presenting the legacy OnDispatch(std::function) hook as a
-/// SchedulerObserver, so the scheduler maintains exactly one dispatch
-/// notification pathway.
-class CallbackObserver final : public sched::SchedulerObserver {
- public:
-  explicit CallbackObserver(IoScheduler::DispatchCallback cb)
-      : cb_(std::move(cb)) {}
-
-  void OnDispatch(const sched::FlashTransaction& txn,
-                  const sched::DispatchContext&) override {
-    cb_(txn);
-  }
-  void OnTxnExecuted(const sched::FlashTransaction&, Us, Us) override {}
-
- private:
-  IoScheduler::DispatchCallback cb_;
-};
-
-}  // namespace
-
 const char* SchedPolicyName(SchedPolicy policy) {
   switch (policy) {
     case SchedPolicy::kFifo:
@@ -80,17 +58,6 @@ IoScheduler::IoScheduler(ssd::Ssd& ssd, sim::EventQueue& queue,
 
 IoScheduler::~IoScheduler() {
   if (attached_gc_) ssd_.ftl().DetachGcScheduler();
-}
-
-void IoScheduler::OnDispatch(DispatchCallback cb) {
-  if (dispatch_adapter_ != nullptr) {
-    DetachObserver(dispatch_adapter_.get());
-    dispatch_adapter_.reset();
-  }
-  if (cb) {
-    dispatch_adapter_ = std::make_unique<CallbackObserver>(std::move(cb));
-    AttachObserver(dispatch_adapter_.get());
-  }
 }
 
 void IoScheduler::AttachObserver(sched::SchedulerObserver* observer) {

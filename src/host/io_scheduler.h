@@ -80,7 +80,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -106,7 +105,6 @@ class IoScheduler {
  public:
   using TxnCallback =
       std::function<void(const FlashTransaction&, const ftl::RequestResult&)>;
-  using DispatchCallback = std::function<void(const FlashTransaction&)>;
 
   /// Attaches itself as the FTL's GC sink when the FTL is configured with
   /// GcRouting::kScheduled (from then on the FTL stops running GC inline);
@@ -129,12 +127,6 @@ class IoScheduler {
   /// interface).  GC transactions complete internally and are observable
   /// through the counters below.
   void OnTxnComplete(TxnCallback cb) { on_complete_ = std::move(cb); }
-
-  /// Diagnostic/test hook: invoked for every transaction in dispatch order.
-  /// Implemented as a thin adapter over AttachObserver — both pathways see
-  /// the identical dispatch stream; setting a new callback replaces the
-  /// previous one (the historical contract).
-  void OnDispatch(DispatchCallback cb);
 
   /// Registers a scheduler observer (borrowed; e.g. obs::Tracer).  Observers
   /// see every dispatch with its resolved DispatchContext and every
@@ -305,10 +297,8 @@ class IoScheduler {
   std::uint64_t write_hold_picks_ = 0;
   std::uint64_t aged_write_dispatches_ = 0;
   TxnCallback on_complete_;
-  /// Dispatch/execution observers (obs::Tracer and the OnDispatch adapter).
+  /// Dispatch/execution observers (obs::Tracer, test recorders).
   std::vector<sched::SchedulerObserver*> observers_;
-  /// Owns the adapter wrapping the legacy OnDispatch callback.
-  std::unique_ptr<sched::SchedulerObserver> dispatch_adapter_;
 };
 
 }  // namespace ctflash::host

@@ -7,8 +7,9 @@
 // replaces that: the scheduler publishes every dispatch (with the context
 // needed to attribute where the transaction's time went) and every
 // execution completion to attached observers.  The lifecycle tracer
-// (obs::Tracer) is the production observer; the legacy OnDispatch callback
-// is now an adapter over this interface, so there is exactly one pathway.
+// (obs::Tracer) is the production observer; tests attach their own
+// dispatch recorders through the same interface, so there is exactly one
+// pathway.
 //
 // Observers are borrowed, never owned, and must outlive the scheduler.
 // With no observers attached the scheduler skips all context computation —
@@ -55,8 +56,9 @@ class SchedulerObserver {
 
   /// Fires when the device finishes executing the transaction (the
   /// completion event), before the host interface sees the completion.
-  virtual void OnTxnExecuted(const FlashTransaction& txn, Us dispatch_us,
-                             Us completion_us) = 0;
+  /// Dispatch-only observers keep the default no-op.
+  virtual void OnTxnExecuted(const FlashTransaction& /*txn*/,
+                             Us /*dispatch_us*/, Us /*completion_us*/) {}
 };
 
 }  // namespace ctflash::sched

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "host/host_interface.h"
-#include "host/load_generator.h"
 #include "replay/replay_engine.h"
 #include "replay/trace_source.h"
 
@@ -117,111 +115,6 @@ ExperimentResult RunExperiment(const SsdConfig& config,
   ExperimentRunner runner(ssd);
   runner.Prefill(footprint_bytes);
   return runner.Replay(records, workload_name);
-}
-
-std::vector<QdSweepPoint> RunQdSweep(const SsdConfig& config,
-                                     const QdSweepOptions& options) {
-  if (options.prefill_pct > 100) {
-    throw std::invalid_argument("RunQdSweep: prefill_pct must be <= 100");
-  }
-  std::vector<QdSweepPoint> points;
-  for (const std::uint32_t qd : options.queue_depths) {
-    SsdConfig cfg = config;
-    cfg.timing_mode = ftl::TimingMode::kQueued;
-    Ssd ssd(cfg);
-    ExperimentRunner runner(ssd);
-    const Us prefill_end =
-        runner.Prefill(ssd.LogicalBytes() / 100 * options.prefill_pct);
-
-    host::HostConfig host_cfg;
-    host_cfg.device_slots = options.device_slots;
-    host_cfg.queue_capacity =
-        std::max<std::uint32_t>(host_cfg.queue_capacity, qd);
-    host::HostInterface host(ssd, host_cfg);
-    host.AdvanceTo(prefill_end);  // flash timelines are booked to here
-
-    host::ClosedLoopGenerator::Config gen_cfg;
-    gen_cfg.queue_depth = qd;
-    gen_cfg.total_requests = options.requests_per_point;
-    gen_cfg.read_fraction = options.read_fraction;
-    gen_cfg.request_bytes = options.request_bytes;
-    gen_cfg.footprint_bytes = ssd.LogicalBytes() / 100 * options.prefill_pct;
-    gen_cfg.seed = options.seed;
-    host::ClosedLoopGenerator generator(host, gen_cfg);
-    const host::LoadStats load = generator.Run();
-
-    QdSweepPoint point;
-    point.queue_depth = qd;
-    point.requests = load.requests;
-    point.iops = load.Iops();
-    const util::LatencyStats all = load.AllLatency();
-    point.mean_us = all.mean_us();
-    point.p50_us = all.p50_us();
-    point.p95_us = all.p95_us();
-    point.p99_us = all.p99_us();
-    point.p999_us = all.p999_us();
-    point.die_utilization = load.die_utilization;
-    point.channel_utilization = load.channel_utilization;
-    point.makespan_us = load.MakespanUs();
-    points.push_back(point);
-  }
-  return points;
-}
-
-std::vector<TenantSweepPoint> RunTenantQdSweep(
-    const SsdConfig& config, const TenantSweepOptions& options) {
-  if (options.prefill_pct > 100) {
-    throw std::invalid_argument("RunTenantQdSweep: prefill_pct must be <= 100");
-  }
-  if (!options.host.qos.Enabled()) {
-    throw std::invalid_argument(
-        "RunTenantQdSweep: HostConfig::qos must configure tenants");
-  }
-  std::vector<TenantSweepPoint> points;
-  for (const std::uint32_t qd : options.queue_depths) {
-    SsdConfig cfg = config;
-    cfg.timing_mode = ftl::TimingMode::kQueued;
-    Ssd ssd(cfg);
-    ExperimentRunner runner(ssd);
-    const Us prefill_end =
-        runner.Prefill(ssd.LogicalBytes() / 100 * options.prefill_pct);
-
-    host::HostConfig host_cfg = options.host;
-    host_cfg.queue_capacity =
-        std::max<std::uint32_t>(host_cfg.queue_capacity, qd);
-    host::HostInterface host(ssd, host_cfg);
-    host.AdvanceTo(prefill_end);
-
-    std::vector<host::TenantWorkload> workloads = options.workloads;
-    for (auto& w : workloads) {
-      if (w.interarrival_us == 0) w.queue_depth = qd;
-    }
-    const auto results = host::MultiTenantGenerator(host, workloads).Run();
-
-    const qos::TenantTable& table = *host.tenants();
-    for (const auto& result : results) {
-      TenantSweepPoint point;
-      point.queue_depth = qd;
-      point.tenant = result.tenant;
-      point.requests = result.load.requests;
-      point.iops = result.load.Iops();
-      const util::LatencyStats all = result.load.AllLatency();
-      point.mean_us = all.mean_us();
-      point.p50_us = all.p50_us();
-      point.p99_us = all.p99_us();
-      point.p999_us = all.p999_us();
-      const auto& tstats = table.StatsOf(result.tenant);
-      point.throttled = tstats.throttled;
-      point.throttle_wait_us = tstats.throttle_wait_us;
-      point.read_dispatches = tstats.read_dispatches;
-      point.write_dispatches = tstats.write_dispatches;
-      point.read_deficit = table.DeficitOf(qos::ArbClass::kRead, result.tenant);
-      point.write_deficit =
-          table.DeficitOf(qos::ArbClass::kWrite, result.tenant);
-      points.push_back(point);
-    }
-  }
-  return points;
 }
 
 }  // namespace ctflash::ssd

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "host/load_generator.h"
 #include "sim/event_queue.h"
 #include "ssd/ssd.h"
 #include "trace/trace.h"
@@ -91,81 +90,5 @@ ExperimentResult RunExperiment(const SsdConfig& config,
                                const std::vector<trace::TraceRecord>& records,
                                std::uint64_t footprint_bytes,
                                const std::string& workload_name);
-
-// --- queue-depth sweeps (closed-loop, via the host interface) -------------
-
-/// Knobs for RunQdSweep.  Each sweep point rebuilds and prefills a fresh
-/// device so points are independent and bit-for-bit deterministic.
-struct QdSweepOptions {
-  std::vector<std::uint32_t> queue_depths = {1, 2, 4, 8, 16, 32};
-  std::uint64_t requests_per_point = 20'000;
-  double read_fraction = 1.0;  ///< writes funnel through one active block
-  std::uint64_t request_bytes = 16 * kKiB;
-  /// Prefill share of the logical space (percent) so reads hit mapped data.
-  std::uint32_t prefill_pct = 80;
-  std::uint64_t seed = 1;
-  /// Max in-flight page transactions on the device (the device's internal
-  /// command queue; the knob that caps parallelism extraction).
-  std::uint32_t device_slots = 64;
-};
-
-/// One measured point of the sweep.
-struct QdSweepPoint {
-  std::uint32_t queue_depth = 0;
-  std::uint64_t requests = 0;
-  double iops = 0.0;
-  double mean_us = 0.0;
-  double p50_us = 0.0;
-  double p95_us = 0.0;
-  double p99_us = 0.0;
-  double p999_us = 0.0;
-  double die_utilization = 0.0;
-  double channel_utilization = 0.0;
-  Us makespan_us = 0;
-};
-
-/// Closed-loop QD sweep: prefill, then `requests_per_point` random
-/// request-aligned I/Os at each queue depth.  Forces TimingMode::kQueued —
-/// with pure service-time accounting queue depth cannot matter.
-std::vector<QdSweepPoint> RunQdSweep(const SsdConfig& config,
-                                     const QdSweepOptions& options);
-
-// --- multi-tenant QoS sweeps (see src/qos/) --------------------------------
-
-/// Knobs for RunTenantQdSweep: a multi-tenant host configuration
-/// (HostConfig::qos must be populated) plus one workload per tenant.  Each
-/// sweep point rebuilds and prefills a fresh device, overrides every
-/// closed-loop workload's queue depth with the point's QD, and runs all
-/// tenants concurrently.
-struct TenantSweepOptions {
-  host::HostConfig host;
-  std::vector<host::TenantWorkload> workloads;
-  std::vector<std::uint32_t> queue_depths = {1, 2, 4, 8, 16};
-  std::uint32_t prefill_pct = 80;
-};
-
-/// One tenant at one queue depth: latency/throughput plus the QoS-engine
-/// telemetry (throttle counters, per-class dispatches, DRR deficits).
-struct TenantSweepPoint {
-  std::uint32_t queue_depth = 0;
-  qos::TenantId tenant = 0;
-  std::uint64_t requests = 0;
-  double iops = 0.0;
-  double mean_us = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double p999_us = 0.0;
-  std::uint64_t throttled = 0;
-  Us throttle_wait_us = 0;
-  std::uint64_t read_dispatches = 0;
-  std::uint64_t write_dispatches = 0;
-  std::uint64_t read_deficit = 0;   ///< DRR state at end of run
-  std::uint64_t write_deficit = 0;
-};
-
-/// Multi-tenant closed/paced-loop sweep over queue depths; returns one
-/// point per (queue depth, workload) in sweep-then-workload order.
-std::vector<TenantSweepPoint> RunTenantQdSweep(
-    const SsdConfig& config, const TenantSweepOptions& options);
 
 }  // namespace ctflash::ssd

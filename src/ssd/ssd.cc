@@ -1,5 +1,6 @@
 #include "ssd/ssd.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace ctflash::ssd {
@@ -56,13 +57,18 @@ SsdConfig ScaledConfig(FtlKind kind, std::uint64_t device_bytes,
   cfg.timing.speed_ratio = speed_ratio;
   // Small scaled devices have few blocks; guarantee the over-provisioned
   // spare pool still covers the GC thresholds plus open blocks.
-  const double min_spare_blocks =
-      static_cast<double>(cfg.ftl.gc_threshold_high) + 16.0;
-  const double min_op =
-      min_spare_blocks / static_cast<double>(cfg.geometry.TotalBlocks());
-  if (min_op > cfg.ftl.op_ratio) cfg.ftl.op_ratio = min_op;
+  ReserveSparePool(cfg);
   cfg.Validate();
   return cfg;
+}
+
+void ReserveSparePool(SsdConfig& config) {
+  const double min_spare_blocks =
+      static_cast<double>(config.ftl.gc_threshold_high) +
+      std::max(16.0, 2.0 * config.ftl.write_frontiers + 8.0);
+  const double min_op =
+      min_spare_blocks / static_cast<double>(config.geometry.TotalBlocks());
+  if (min_op > config.ftl.op_ratio) config.ftl.op_ratio = min_op;
 }
 
 Ssd::Ssd(const SsdConfig& config) : config_(config) {

@@ -64,6 +64,14 @@ SsdConfig ScaledConfig(FtlKind kind, std::uint64_t device_bytes,
                        std::uint32_t page_size_bytes, double speed_ratio,
                        const nand::NandGeometry& base_shape);
 
+/// Raises `config.ftl.op_ratio` so the over-provisioned spare pool holds at
+/// least gc_threshold_high + max(16, 2 x write_frontiers + 8) blocks: the GC
+/// thresholds plus one open frontier set per write stream (host + GC) and
+/// reclaimable victims under churn.  ScaledConfig applies it; callers that
+/// raise `write_frontiers` afterwards apply it again.  With one frontier the
+/// floor is the historical gc_threshold_high + 16.
+void ReserveSparePool(SsdConfig& config);
+
 class Ssd {
  public:
   explicit Ssd(const SsdConfig& config);

@@ -1,11 +1,14 @@
-// Campaign JSON module + spec expansion tests.
+// Campaign JSON module, spec expansion and report-check tests.
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "campaign/checks.h"
 #include "campaign/json.h"
+#include "campaign/runner.h"
 #include "campaign/spec.h"
 #include "ssd/ssd.h"
 
@@ -82,6 +85,20 @@ TEST(CampaignJson, SetJsonPathCreatesIntermediates) {
   EXPECT_EQ(root.Get("workload")->Get("queue_depth")->AsUint(), 16u);
   EXPECT_DOUBLE_EQ(root.Get("workload")->Get("read_fraction")->AsDouble(), 0.5);
   EXPECT_THROW(SetJsonPath(root, "a..b", Json(1)), std::runtime_error);
+}
+
+TEST(CampaignJson, SetJsonPathIndexesExistingArrays) {
+  Json root = Json::Parse(R"({"arms": [{"seed": 1}, {"seed": 2}]})");
+  SetJsonPath(root, "arms.1.write_frontiers", Json(std::uint64_t{1}));
+  EXPECT_EQ(root.Get("arms")->AsArray()[1].Get("write_frontiers")->AsUint(),
+            1u);
+  EXPECT_EQ(root.Get("arms")->AsArray()[0].Get("write_frontiers"), nullptr);
+  // Out-of-range and non-numeric hops into an array are errors, never a
+  // silently created object.
+  EXPECT_THROW(SetJsonPath(root, "arms.2.seed", Json(1)), std::runtime_error);
+  EXPECT_THROW(SetJsonPath(root, "arms.x.seed", Json(1)), std::runtime_error);
+  EXPECT_THROW(SetJsonPath(root, "arms.99999999999999999999.seed", Json(1)),
+               std::runtime_error);
 }
 
 // --- CampaignSpec ----------------------------------------------------------
@@ -174,6 +191,174 @@ TEST(CampaignSpec, ByteSizesAcceptStringsAndNumbers) {
   ASSERT_EQ(spec.arms.size(), 1u);
   EXPECT_EQ(spec.arms[0].merged.Get("device_bytes")->AsString(), "64MiB");
   EXPECT_EQ(spec.arms[0].device.geometry.page_size_bytes, 16384u);
+
+  // The shared accessor behind every byte-size field.
+  const Json v = Json::Parse(
+      R"({"n": 4096, "s": "64MiB", "z": null, "bad": "64XB", "neg": -1,
+          "flag": true})");
+  EXPECT_EQ(v.GetBytesOr("n", 1), 4096u);
+  EXPECT_EQ(v.GetBytesOr("s", 1), 64ull << 20);
+  EXPECT_EQ(v.GetBytesOr("z", 7), 7u);        // null -> fallback
+  EXPECT_EQ(v.GetBytesOr("absent", 7), 7u);
+  EXPECT_THROW(v.GetBytesOr("bad", 1), std::invalid_argument);
+  EXPECT_THROW(v.GetBytesOr("neg", 1), std::runtime_error);
+  EXPECT_THROW(v.GetBytesOr("flag", 1), std::runtime_error);
+}
+
+TEST(CampaignSpec, SparePoolFloorFollowsWriteFrontiers) {
+  // One frontier keeps ScaledConfig's floor (gc_threshold_high + 16 spare
+  // blocks); eight need gc_threshold_high + 2 x 8 + 8.
+  const CampaignSpec spec = CampaignSpec::Parse(R"({
+    "defaults": {"device_bytes": "1GiB", "workload": {"kind": "closed_loop"}},
+    "grid": {"write_frontiers": [1, 8]}
+  })");
+  const ssd::SsdConfig scaled = ssd::ScaledConfig(
+      ssd::FtlKind::kConventional, 1ull << 30, 16 * 1024, 2.0);
+  EXPECT_EQ(spec.arms[0].device.ftl.op_ratio, scaled.ftl.op_ratio);
+  const ssd::SsdConfig& striped = spec.arms[1].device;
+  EXPECT_EQ(striped.ftl.op_ratio,
+            (striped.ftl.gc_threshold_high + 24.0) /
+                static_cast<double>(striped.geometry.TotalBlocks()));
+  EXPECT_GT(striped.ftl.op_ratio, scaled.ftl.op_ratio);
+}
+
+// --- Checks ----------------------------------------------------------------
+
+const Json& CheckReport() {
+  static const Json report = Json::Parse(R"({"arms": [
+    {"metrics": {"p99": 200, "mean": 50, "zero": 0, "label": "x"}},
+    {"metrics": {"p99": 100, "mean": 50}}]})");
+  return report;
+}
+
+CheckVerdict Eval(const char* check) {
+  return EvaluateCheck(Check::Parse(Json::Parse(check)), &CheckReport());
+}
+
+TEST(CampaignChecks, BaselineBandAndMinMax) {
+  EXPECT_EQ(Eval(R"({"metric": "arms.1.metrics.p99", "baseline": 105,
+                     "tolerance_pct": 10})").verdict, "pass");
+  const CheckVerdict out = Eval(R"({"metric": "arms.1.metrics.p99",
+                                    "baseline": 150, "tolerance_pct": 10})");
+  EXPECT_EQ(out.verdict, "FAIL");
+  EXPECT_EQ(out.detail, "100 in [135, 165]");
+  EXPECT_EQ(Eval(R"({"metric": "arms.0.metrics.p99", "min": 200})").verdict,
+            "pass");
+  EXPECT_EQ(Eval(R"({"metric": "arms.0.metrics.p99", "min": 201})").verdict,
+            "FAIL");
+  EXPECT_EQ(Eval(R"({"metric": "arms.0.metrics.p99", "max": 199})").verdict,
+            "FAIL");
+  // Explicit bounds clip the band; the tightest wins.
+  const CheckVerdict clipped = Eval(R"({"metric": "arms.0.metrics.p99",
+      "baseline": 200, "tolerance_pct": 50, "max": 180})");
+  EXPECT_EQ(clipped.verdict, "FAIL");
+  EXPECT_EQ(clipped.detail, "200 in [100, 180]");
+}
+
+TEST(CampaignChecks, RatioStrictVersusInclusiveBounds) {
+  // mean ratio is exactly 1: inclusive bounds admit it, strict ones do not.
+  const char* kMean = R"("metric": "arms.1.metrics.mean",
+                         "over": "arms.0.metrics.mean")";
+  const auto with = [&](const std::string& bound) {
+    return Eval(("{" + std::string(kMean) + ", " + bound + "}").c_str());
+  };
+  EXPECT_EQ(with(R"("max": 1)").verdict, "pass");
+  EXPECT_EQ(with(R"("min": 1)").verdict, "pass");
+  EXPECT_EQ(with(R"("exclusive_max": 1)").verdict, "FAIL");
+  EXPECT_EQ(with(R"("exclusive_min": 1)").verdict, "FAIL");
+  const CheckVerdict half = Eval(R"({"metric": "arms.1.metrics.p99",
+      "over": "arms.0.metrics.p99", "exclusive_max": 1})");
+  EXPECT_EQ(half.verdict, "pass");
+  EXPECT_EQ(half.detail, "100 / 200 = 0.5 in [-inf, 1)");
+  EXPECT_EQ(half.label, "arms.1.metrics.p99 / arms.0.metrics.p99");
+  EXPECT_EQ(Eval(R"({"metric": "arms.0.metrics.p99",
+                     "over": "arms.0.metrics.zero", "min": 0})").detail,
+            "over is zero");
+}
+
+TEST(CampaignChecks, MissingPathFailsAndIsNeverSkipped) {
+  for (const char* check :
+       {R"({"metric": "arms.0.metrics.p50", "min": 0, "optional": true})",
+        R"({"metric": "arms.2.metrics.p99", "min": 0})",
+        R"({"metric": "arms.0.metrics.p99", "over": "arms.1.metrics.nope",
+            "min": 0})",
+        R"({"metric": "arms.0.metrics.label", "min": 0})"}) {
+    EXPECT_EQ(Eval(check).verdict, "FAIL") << check;
+  }
+}
+
+TEST(CampaignChecks, OptionalOnlySkipsAMissingReportFile) {
+  const Check optional = Check::Parse(Json::Parse(
+      R"({"file": "BENCH_x.json", "metric": "a", "min": 0,
+          "optional": true})"));
+  EXPECT_EQ(EvaluateCheck(optional, nullptr).verdict, "skip");
+  Check required = optional;
+  required.optional = false;
+  const CheckVerdict missing = EvaluateCheck(required, nullptr);
+  EXPECT_EQ(missing.verdict, "FAIL");
+  EXPECT_EQ(missing.detail, "report file missing: BENCH_x.json");
+  EXPECT_EQ(missing.label, "BENCH_x.json : a");
+  // The report exists but the path does not: optional does not help.
+  EXPECT_EQ(EvaluateCheck(optional, &CheckReport()).verdict, "FAIL");
+}
+
+TEST(CampaignChecks, MalformedChecksRejectedAtParse) {
+  for (const char* check :
+       {R"({"metric": "a"})",                              // no bound
+        R"({"metric": "a", "tolerance_pct": 5})",          // tolerance alone
+        R"({"metric": "a", "minimum": 1})",                // unknown key
+        R"({"min": 1})",                                   // no metric
+        R"({"metric": "a", "max": "big"})"}) {             // bad bound type
+    EXPECT_THROW(Check::Parse(Json::Parse(check)), std::runtime_error)
+        << check;
+  }
+  // In a spec, a malformed check fails the parse, before any arm can run;
+  // so does a "file" (spec checks read the campaign's own report).
+  const std::string spec_head =
+      R"({"defaults": {"workload": {"kind": "closed_loop"}}, "checks": [)";
+  try {
+    CampaignSpec::Parse(spec_head + R"({"metric": "arms.0.ok"}]})");
+    FAIL() << "bound-less check accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("checks[0]"), std::string::npos);
+  }
+  EXPECT_THROW(CampaignSpec::Parse(spec_head +
+                   R"({"file": "r.json", "metric": "a", "min": 1}]})"),
+               std::runtime_error);
+  EXPECT_EQ(CampaignSpec::Parse(spec_head +
+                R"({"metric": "arms.0.metrics.iops", "min": 1}]})")
+                .checks.size(),
+            1u);
+}
+
+TEST(CampaignChecks, FailingCheckFailsASpecRun) {
+  // What bench_spec does: apply a --set override to the spec root, parse,
+  // run, then evaluate the spec's checks against the report.
+  Json root = Json::Parse(R"({
+    "campaign": "gate",
+    "defaults": {"device_bytes": "64MiB", "prefill_pct": 50,
+                 "workload": {"kind": "closed_loop", "requests": 200}},
+    "checks": [{"name": "served", "metric": "arms.0.metrics.requests",
+                "min": 200}]
+  })");
+  const auto run = [](const Json& spec_root) {
+    const CampaignSpec spec = CampaignSpec::Parse(spec_root);
+    const CampaignResult result = CampaignRunner(spec).Run();
+    return EvaluateChecks(spec.checks, result.Report());
+  };
+  const std::vector<CheckVerdict> passing = run(root);
+  ASSERT_EQ(passing.size(), 1u);
+  EXPECT_EQ(passing[0].verdict, "pass") << passing[0].detail;
+
+  SetJsonPath(root, "defaults.workload.requests", Json(std::uint64_t{100}));
+  const std::vector<CheckVerdict> failing = run(root);
+  ASSERT_EQ(failing.size(), 1u);
+  EXPECT_TRUE(failing[0].failed());
+  EXPECT_EQ(failing[0].detail, "100 in [200, inf]");
+  const std::string table = FormatVerdicts(failing);
+  EXPECT_NE(table.find("served  FAIL  100 in [200, inf]"), std::string::npos)
+      << table;
+  EXPECT_NE(table.find("1 checks, 1 failed"), std::string::npos) << table;
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "ftl/conventional_ftl.h"
 #include "host/host_interface.h"
 #include "host/load_generator.h"
+#include "sched/observer.h"
 #include "sched/transaction.h"
 #include "ssd/experiment.h"
 #include "ssd/ssd.h"
@@ -164,36 +165,50 @@ TEST(GcQos, HostReadPreemptsQueuedGcCopies) {
   Lpn probe_lpn = 0;
   while (ssd.ftl().ProbePpn(probe_lpn) == kInvalidPpn) ++probe_lpn;
 
-  std::vector<sched::TxnSource> trace;
-  std::size_t read_submitted_at = ~std::size_t{0};
-  std::size_t probe_read_pos = ~std::size_t{0};
-  bool probe_submitted = false;
-  host.scheduler().OnDispatch([&](const FlashTransaction& txn) {
-    trace.push_back(txn.source);
-    if (txn.source == sched::TxnSource::kGcCopy && !probe_submitted) {
-      probe_submitted = true;
-      // Fires right after the current event finishes, while the rest of
-      // the GC job still queues.
-      host.queue().ScheduleAt(host.queue().Now(), [&](Us) {
-        read_submitted_at = trace.size();
-        host.Submit(trace::OpType::kRead, probe_lpn * page, page);
-      });
-    } else if (txn.source == sched::TxnSource::kHostRead &&
-               probe_submitted && probe_read_pos == ~std::size_t{0} &&
-               read_submitted_at != ~std::size_t{0}) {
-      probe_read_pos = trace.size() - 1;
+  // Logs the dispatch stream and submits the probe read the moment the
+  // first GC copy dispatches.
+  struct Probe final : sched::SchedulerObserver {
+    HostInterface& host;
+    std::uint64_t offset;
+    std::uint32_t page;
+    std::vector<sched::TxnSource> trace;
+    std::size_t read_submitted_at = ~std::size_t{0};
+    std::size_t probe_read_pos = ~std::size_t{0};
+    bool probe_submitted = false;
+
+    Probe(HostInterface& h, std::uint64_t off, std::uint32_t p)
+        : host(h), offset(off), page(p) {}
+    void OnDispatch(const FlashTransaction& txn,
+                    const sched::DispatchContext&) override {
+      trace.push_back(txn.source);
+      if (txn.source == sched::TxnSource::kGcCopy && !probe_submitted) {
+        probe_submitted = true;
+        // Fires right after the current event finishes, while the rest of
+        // the GC job still queues.
+        host.queue().ScheduleAt(host.queue().Now(), [this](Us) {
+          read_submitted_at = trace.size();
+          host.Submit(trace::OpType::kRead, offset, page);
+        });
+      } else if (txn.source == sched::TxnSource::kHostRead &&
+                 probe_submitted && probe_read_pos == ~std::size_t{0} &&
+                 read_submitted_at != ~std::size_t{0}) {
+        probe_read_pos = trace.size() - 1;
+      }
     }
-  });
+  } probe(host, probe_lpn * page, page);
+  host.scheduler().AttachObserver(&probe);
 
   ClosedLoopGenerator(host, WriteBurst(ssd, 0.0, 20000)).Run();
 
-  ASSERT_TRUE(probe_submitted) << "workload never produced a GC copy";
-  ASSERT_NE(probe_read_pos, ~std::size_t{0}) << "probe read never dispatched";
-  for (std::size_t i = read_submitted_at; i < probe_read_pos; ++i) {
-    EXPECT_FALSE(sched::IsGc(trace[i]))
+  ASSERT_TRUE(probe.probe_submitted) << "workload never produced a GC copy";
+  ASSERT_NE(probe.probe_read_pos, ~std::size_t{0})
+      << "probe read never dispatched";
+  for (std::size_t i = probe.read_submitted_at; i < probe.probe_read_pos;
+       ++i) {
+    EXPECT_FALSE(sched::IsGc(probe.trace[i]))
         << "GC transaction dispatched at " << i
         << " while a host read was ready (read dispatched at "
-        << probe_read_pos << ")";
+        << probe.probe_read_pos << ")";
   }
   EXPECT_GT(host.scheduler().GcDispatchedCount(), 0u);
 }
@@ -207,11 +222,16 @@ TEST(GcQos, EraseNeverDispatchesBeforeItsCopies) {
   HostInterface host(ssd, HostConfig{});
   host.AdvanceTo(prefill_end);
 
-  std::vector<FlashTransaction> gc_trace;
-  host.scheduler().OnDispatch([&](const FlashTransaction& txn) {
-    if (sched::IsGc(txn.source)) gc_trace.push_back(txn);
-  });
+  struct GcLog final : sched::SchedulerObserver {
+    std::vector<FlashTransaction> txns;
+    void OnDispatch(const FlashTransaction& txn,
+                    const sched::DispatchContext&) override {
+      if (sched::IsGc(txn.source)) txns.push_back(txn);
+    }
+  } gc_log;
+  host.scheduler().AttachObserver(&gc_log);
   ClosedLoopGenerator(host, WriteBurst(ssd, 0.1, 30000)).Run();
+  const std::vector<FlashTransaction>& gc_trace = gc_log.txns;
 
   ASSERT_FALSE(gc_trace.empty());
   std::uint64_t erased_jobs = 0;

@@ -54,12 +54,18 @@ Fingerprint RunScenario(ssd::FtlKind kind, ftl::GcRouting routing) {
   host.AdvanceTo(prefill_end);
 
   Fingerprint fp;
-  host.scheduler().OnDispatch([&fp](const host::FlashTransaction& txn) {
-    fp.dispatch = Fold(fp.dispatch, static_cast<std::uint64_t>(txn.source));
-    fp.dispatch = Fold(fp.dispatch, txn.seq);
-    fp.dispatch = Fold(fp.dispatch, txn.lpn);
-    fp.dispatch = Fold(fp.dispatch, txn.offset_bytes);
-  });
+  struct DispatchFold final : sched::SchedulerObserver {
+    std::uint64_t& hash;
+    explicit DispatchFold(std::uint64_t& h) : hash(h) {}
+    void OnDispatch(const host::FlashTransaction& txn,
+                    const sched::DispatchContext&) override {
+      hash = Fold(hash, static_cast<std::uint64_t>(txn.source));
+      hash = Fold(hash, txn.seq);
+      hash = Fold(hash, txn.lpn);
+      hash = Fold(hash, txn.offset_bytes);
+    }
+  } fold(fp.dispatch);
+  host.scheduler().AttachObserver(&fold);
 
   host::ClosedLoopGenerator::Config gen;
   gen.queue_depth = 16;

@@ -14,6 +14,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "campaign/runner.h"
+#include "campaign/spec.h"
 #include "host/host_interface.h"
 #include "host/load_generator.h"
 #include "qos/tenant_table.h"
@@ -50,6 +52,24 @@ std::vector<Lpn> LpnsOnDie(ssd::Ssd& ssd, std::uint64_t die, bool on,
   }
   return out;
 }
+
+/// What a dispatch is compared on.
+using DispatchRecord =
+    std::tuple<std::uint64_t, sched::TxnSource, Lpn, Ppn, BlockId,
+               std::uint32_t>;
+
+DispatchRecord RecordOf(const FlashTransaction& txn) {
+  return {txn.seq, txn.source, txn.lpn, txn.gc_src, txn.gc_block, txn.tenant};
+}
+
+class RecordingObserver final : public sched::SchedulerObserver {
+ public:
+  void OnDispatch(const FlashTransaction& txn,
+                  const sched::DispatchContext&) override {
+    log.push_back(RecordOf(txn));
+  }
+  std::vector<DispatchRecord> log;
+};
 
 TEST(IoScheduler, TransactionConservation) {
   // Every submitted page dispatches and completes exactly once, across
@@ -217,20 +237,22 @@ TEST(IoScheduler, UnmappedReadDoesNotLeapfrogMappedIdleDieRead) {
   const Lpn unmapped = ssd.LogicalBytes() / page - 1;
   ASSERT_EQ(ssd.ftl().ProbePpn(unmapped), kInvalidPpn);
 
-  std::vector<Lpn> dispatch_order;
-  host.scheduler().OnDispatch(
-      [&](const FlashTransaction& txn) { dispatch_order.push_back(txn.lpn); });
+  RecordingObserver dispatches;
+  host.scheduler().AttachObserver(&dispatches);
 
   host.Submit(trace::OpType::kRead, blocker[0] * page, page);
   host.Submit(trace::OpType::kRead, unmapped * page, page);
   host.Submit(trace::OpType::kRead, mapped[0] * page, page);
   host.Run();
 
-  ASSERT_EQ(dispatch_order.size(), 3u);
-  EXPECT_EQ(dispatch_order[0], blocker[0]);  // took the only slot instantly
-  EXPECT_EQ(dispatch_order[1], mapped[0])
+  const auto lpn_at = [&](std::size_t i) {
+    return std::get<2>(dispatches.log[i]);
+  };
+  ASSERT_EQ(dispatches.log.size(), 3u);
+  EXPECT_EQ(lpn_at(0), blocker[0]);  // took the only slot instantly
+  EXPECT_EQ(lpn_at(1), mapped[0])
       << "mapped idle-die read must beat the unmapped read's neutral key";
-  EXPECT_EQ(dispatch_order[2], unmapped);
+  EXPECT_EQ(lpn_at(2), unmapped);
 }
 
 TEST(IoScheduler, ClosedLoopQd8DeterministicAcrossRuns) {
@@ -267,40 +289,30 @@ TEST(IoScheduler, ClosedLoopQd8DeterministicAcrossRuns) {
 TEST(IoScheduler, QdSweepIopsMonotoneToSaturation) {
   // The acceptance shape of the subsystem, in miniature: closed-loop IOPS
   // never regresses as QD grows (within a small tolerance near
-  // saturation), and a deeper queue beats QD=1 outright.
-  auto cfg = SmallConfig();
-  ssd::QdSweepOptions sweep;
-  sweep.queue_depths = {1, 2, 4, 8, 16};
-  sweep.requests_per_point = 3000;
-  const auto points = ssd::RunQdSweep(cfg, sweep);
-  ASSERT_EQ(points.size(), 5u);
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GE(points[i].iops, points[i - 1].iops * 0.98)
-        << "QD " << points[i].queue_depth << " regressed";
+  // saturation), and a deeper queue beats QD=1 outright.  One campaign arm
+  // per queue depth, each on its own SmallConfig device, 80 % prefilled.
+  const campaign::CampaignResult result =
+      campaign::CampaignRunner(campaign::CampaignSpec::Parse(R"({
+        "defaults": {"device_bytes": "256MiB", "prefill_pct": 80,
+                     "host": {"device_slots": 64},
+                     "workload": {"kind": "closed_loop", "requests": 3000}},
+        "grid": {"workload.queue_depth": [1, 2, 4, 8, 16]},
+        "arms": [{"seed": 1}]
+      })")).Run();
+  ASSERT_EQ(result.arms.size(), 5u);
+  std::vector<double> iops;
+  for (const campaign::ArmResult& arm : result.arms) {
+    ASSERT_TRUE(arm.ok) << arm.error;
+    iops.push_back(arm.metrics.Get("iops")->AsDouble());
   }
-  EXPECT_GT(points.back().iops, points.front().iops * 2.0);
+  for (std::size_t i = 1; i < iops.size(); ++i) {
+    EXPECT_GE(iops[i], iops[i - 1] * 0.98) << result.arms[i].name
+                                           << " regressed";
+  }
+  EXPECT_GT(iops.back(), iops.front() * 2.0);
 }
 
 // --- Differential check: indexed ready set vs. linear scan -----------------
-
-/// What a dispatch is compared on.
-using DispatchRecord =
-    std::tuple<std::uint64_t, sched::TxnSource, Lpn, Ppn, BlockId,
-               std::uint32_t>;
-
-DispatchRecord RecordOf(const FlashTransaction& txn) {
-  return {txn.seq, txn.source, txn.lpn, txn.gc_src, txn.gc_block, txn.tenant};
-}
-
-class RecordingObserver final : public sched::SchedulerObserver {
- public:
-  void OnDispatch(const FlashTransaction& txn,
-                  const sched::DispatchContext&) override {
-    log.push_back(RecordOf(txn));
-  }
-  void OnTxnExecuted(const FlashTransaction&, Us, Us) override {}
-  std::vector<DispatchRecord> log;
-};
 
 /// Reference picker: the scheduler as it was before the read index, one
 /// ready vector keyed per transaction on every pick (mapping probe +

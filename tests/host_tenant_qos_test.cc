@@ -11,6 +11,7 @@
 #include "host/host_interface.h"
 #include "host/load_generator.h"
 #include "qos/tenant.h"
+#include "sched/observer.h"
 #include "ssd/experiment.h"
 #include "ssd/ssd.h"
 
@@ -56,13 +57,18 @@ TEST(TenantQos, WeightedDrrTwoToOneThroughputUnderSaturation) {
   host.AdvanceTo(prefill_end);
 
   const std::uint64_t kRequests = 6'000;  // 1 page each (16 KiB)
-  std::uint64_t dispatches[2] = {0, 0};
-  bool counting = true;
-  host.scheduler().OnDispatch([&](const FlashTransaction& txn) {
-    if (!counting || txn.tenant == qos::kNoTenant) return;
-    dispatches[txn.tenant]++;
-    if (dispatches[txn.tenant] >= kRequests) counting = false;
-  });
+  struct WindowCounter final : sched::SchedulerObserver {
+    std::uint64_t limit = 0;
+    std::uint64_t dispatches[2] = {0, 0};
+    bool counting = true;
+    void OnDispatch(const FlashTransaction& txn,
+                    const sched::DispatchContext&) override {
+      if (!counting || txn.tenant == qos::kNoTenant) return;
+      if (++dispatches[txn.tenant] >= limit) counting = false;
+    }
+  } window;
+  window.limit = kRequests;
+  host.scheduler().AttachObserver(&window);
 
   TenantWorkload base;
   base.queue_depth = 16;
@@ -74,14 +80,23 @@ TEST(TenantQos, WeightedDrrTwoToOneThroughputUnderSaturation) {
   workloads[0].seed = 21;
   workloads[1].tenant = 1;
   workloads[1].seed = 22;
-  MultiTenantGenerator(host, workloads).Run();
+  const auto results = MultiTenantGenerator(host, workloads).Run();
 
-  ASSERT_FALSE(counting) << "one tenant should exhaust its work";
+  ASSERT_FALSE(window.counting) << "one tenant should exhaust its work";
+  const std::uint64_t* dispatches = window.dispatches;
   ASSERT_GT(dispatches[1], 0u);
   const double ratio = static_cast<double>(dispatches[0]) /
                        static_cast<double>(dispatches[1]);
   EXPECT_GE(ratio, 1.8) << dispatches[0] << ":" << dispatches[1];
   EXPECT_LE(ratio, 2.2) << dispatches[0] << ":" << dispatches[1];
+  // Per-tenant telemetry: every request served, one read dispatch per
+  // single-page request booked to its tenant.
+  ASSERT_EQ(results.size(), 2u);
+  for (const TenantLoadStats& r : results) {
+    EXPECT_EQ(r.load.requests, kRequests);
+    EXPECT_GT(r.load.Iops(), 0.0);
+    EXPECT_EQ(host.tenants()->StatsOf(r.tenant).read_dispatches, kRequests);
+  }
 }
 
 /// Paced (latency-sensitive) tenant 0 on a private working-set slice;
@@ -356,28 +371,6 @@ TEST(TenantQos, MultiTenantRunDeterministic) {
     return out;
   };
   EXPECT_EQ(run(), run());
-}
-
-TEST(TenantQos, TenantQdSweepReportsPerTenantTelemetry) {
-  ssd::TenantSweepOptions options;
-  options.host.qos = TwoTenants(2, 1);
-  options.queue_depths = {4, 8};
-  TenantWorkload base;
-  base.total_requests = 600;
-  base.read_fraction = 1.0;
-  std::vector<TenantWorkload> workloads(2, base);
-  workloads[0].tenant = 0;
-  workloads[0].seed = 71;
-  workloads[1].tenant = 1;
-  workloads[1].seed = 72;
-  options.workloads = workloads;
-  const auto points = ssd::RunTenantQdSweep(SmallConfig(), options);
-  ASSERT_EQ(points.size(), 4u);  // 2 QDs x 2 tenants
-  for (const auto& point : points) {
-    EXPECT_GT(point.iops, 0.0);
-    EXPECT_GT(point.requests, 0u);
-    EXPECT_GT(point.read_dispatches, 0u);
-  }
 }
 
 TEST(TenantQos, ApiContracts) {

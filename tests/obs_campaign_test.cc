@@ -11,6 +11,7 @@
 #include "campaign/spec.h"
 #include "cluster/cluster_sim.h"
 #include "cluster/spec.h"
+#include "obs/tracer.h"
 
 namespace ctflash::obs {
 namespace {
@@ -81,6 +82,27 @@ TEST(ObsCampaign, ObservabilityOffKeepsMetricsClean) {
   ASSERT_EQ(result.arms.size(), 1u);
   ASSERT_TRUE(result.arms[0].ok) << result.arms[0].error;
   EXPECT_EQ(result.arms[0].metrics.Get("phases"), nullptr);
+}
+
+TEST(ObsCampaign, SpansKeepEachArmsTracerWithoutChangingMetrics) {
+  // "spans" records the timeline and hands the arm's tracer back (the
+  // bench_spec --trace-out path); the deterministic metrics stay exactly
+  // those of a phases-only run.
+  campaign::Json root = campaign::Json::Parse(kTracedGrid);
+  const campaign::CampaignResult phases_only =
+      campaign::CampaignRunner(campaign::CampaignSpec::Parse(root)).Run(1);
+  campaign::SetJsonPath(root, "defaults.observability.spans", true);
+  const campaign::CampaignSpec spec = campaign::CampaignSpec::Parse(root);
+  const campaign::CampaignResult traced =
+      campaign::CampaignRunner(spec).Run(2);
+  ASSERT_EQ(traced.arms.size(), phases_only.arms.size());
+  for (std::size_t i = 0; i < traced.arms.size(); ++i) {
+    ASSERT_TRUE(traced.arms[i].ok) << traced.arms[i].error;
+    ASSERT_NE(traced.arms[i].tracer, nullptr) << traced.arms[i].name;
+    EXPECT_FALSE(traced.arms[i].tracer->spans().empty());
+    EXPECT_EQ(phases_only.arms[i].tracer, nullptr);
+    EXPECT_EQ(traced.arms[i].metrics.Dump(), phases_only.arms[i].metrics.Dump());
+  }
 }
 
 constexpr const char* kTracedCluster = R"({

@@ -2,8 +2,7 @@
 // (paced + queued + media == end-to-end for EVERY traced request), stall
 // attribution under GC pressure, agreement with the host interface's own
 // latency aggregates, and the zero-interference contract — attaching a
-// tracer (or the legacy OnDispatch callback, now an observer adapter)
-// never changes the dispatch order or any simulated outcome.
+// tracer never changes the dispatch order or any simulated outcome.
 #include "obs/tracer.h"
 
 #include <gtest/gtest.h>
@@ -131,30 +130,33 @@ TEST(ObsTracer, WriteHoldAttributedUnderSustainedWrites) {
       << "held writes must book their queue time as write-hold";
 }
 
-// The observer seam must be invisible: the legacy OnDispatch callback (now
-// an adapter on the observer list) sees the identical dispatch sequence
-// whether or not a tracer is also attached, and every simulated outcome is
-// bit-identical.  This is the regression lock for promoting the test-only
-// hook onto the tracer sink interface.
+// The observer seam must be invisible: a dispatch recorder on the observer
+// list sees the identical dispatch sequence whether or not a tracer is also
+// attached, and every simulated outcome is bit-identical.
 TEST(ObsTracer, AttachingTracerNeverChangesDispatchOrder) {
   using DispatchKey = std::tuple<std::uint8_t, std::uint64_t, std::uint64_t>;
+  struct OrderLog final : sched::SchedulerObserver {
+    std::vector<DispatchKey> order;
+    void OnDispatch(const sched::FlashTransaction& txn,
+                    const sched::DispatchContext&) override {
+      order.emplace_back(static_cast<std::uint8_t>(txn.source),
+                         txn.request_id, txn.seq);
+    }
+  };
   const auto run = [](bool with_tracer) {
     ssd::Ssd ssd(GcHeavyConfig());
     const Us prefill_end = Prefill(ssd, 85);
     host::HostInterface host(ssd, host::HostConfig{});
     host.AdvanceTo(prefill_end);
 
-    std::vector<DispatchKey> order;
-    host.scheduler().OnDispatch([&](const sched::FlashTransaction& txn) {
-      order.emplace_back(static_cast<std::uint8_t>(txn.source),
-                         txn.request_id, txn.seq);
-    });
+    OrderLog log;
+    host.scheduler().AttachObserver(&log);
     Tracer tracer;
     if (with_tracer) host.AttachTracer(&tracer);
 
     const host::LoadStats load =
         host::ClosedLoopGenerator(host, MixedBurst(ssd, 0.3, 10000)).Run();
-    return std::tuple{std::move(order), load.end_us,
+    return std::tuple{std::move(log.order), load.end_us,
                       load.read_latency.total_us(),
                       load.write_latency.total_us(),
                       ssd.ftl().stats().gc_erases,
@@ -164,27 +166,6 @@ TEST(ObsTracer, AttachingTracerNeverChangesDispatchOrder) {
   const auto traced = run(true);
   ASSERT_FALSE(std::get<0>(bare).empty());
   EXPECT_EQ(bare, traced);
-}
-
-TEST(ObsTracer, OnDispatchReplacementDetachesOldCallback) {
-  ssd::Ssd ssd(GcHeavyConfig());
-  const Us prefill_end = Prefill(ssd, 50);
-  host::HostInterface host(ssd, host::HostConfig{});
-  host.AdvanceTo(prefill_end);
-
-  std::uint64_t first = 0, second = 0;
-  host.scheduler().OnDispatch(
-      [&](const sched::FlashTransaction&) { ++first; });
-  host.scheduler().OnDispatch(
-      [&](const sched::FlashTransaction&) { ++second; });
-  host::ClosedLoopGenerator(host, MixedBurst(ssd, 0.5, 200)).Run();
-  EXPECT_EQ(first, 0u) << "replaced callback must stop firing";
-  EXPECT_GT(second, 0u);
-
-  // Clearing the callback detaches the adapter entirely.
-  host.scheduler().OnDispatch(nullptr);
-  host::ClosedLoopGenerator(host, MixedBurst(ssd, 0.5, 200)).Run();
-  EXPECT_GT(second, 0u);
 }
 
 TEST(ObsTracer, EpochRowsTileTheRunAndMergeToTheAggregate) {

@@ -15,7 +15,8 @@
 // without flaking on machine speed.  Wall-clock fields are deliberately
 // not baselined.
 //
-// Spec format (see tools/bench_baselines.json):
+// Spec format (see tools/bench_baselines.json; the check schema and its
+// evaluator live in src/campaign/checks.h, shared with campaign specs):
 //   {"checks": [
 //     {"file": "BENCH_cluster.json",
 //      "metric": "self_check.cluster_read_p99_us",
@@ -25,29 +26,25 @@
 //     {"file": "BENCH_gc_qos.json", "metric": "...", "min": 1,
 //      "optional": true}
 //   ]}
-// `baseline` + `tolerance_pct` expand to [baseline*(1-t), baseline*(1+t)];
-// explicit `min` / `max` (either or both) are absolute bounds and compose
-// with the band (the tightest wins).  `optional: true` skips the check
-// when its report file is missing (benches gated off some CI legs).
+// Every check here needs a "file"; `optional: true` skips the check when
+// that report file is missing (benches gated off some CI legs).
 //
 // Usage: bench_check <spec.json> [--dir <report-dir>]
 // Exit 0 when every check passes, 1 otherwise.
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
 #include <fstream>
-#include <limits>
-#include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "campaign/checks.h"
 #include "campaign/json.h"
 
 namespace {
 
+using ctflash::campaign::Check;
+using ctflash::campaign::CheckVerdict;
 using ctflash::campaign::Json;
 
 std::string ReadWholeFile(const std::string& path) {
@@ -58,114 +55,26 @@ std::string ReadWholeFile(const std::string& path) {
   return buf.str();
 }
 
-/// Walks a dot-separated path ("self_check.wear_drain_epoch") into nested
-/// objects; an all-digit hop indexes an array ("results.1.read_p99_us").
-/// Returns nullptr when any hop is missing.
-const Json* Lookup(const Json& root, const std::string& path) {
-  const Json* node = &root;
-  std::size_t start = 0;
-  while (start <= path.size()) {
-    const std::size_t dot = path.find('.', start);
-    const std::string key = path.substr(
-        start, dot == std::string::npos ? std::string::npos : dot - start);
-    if (node->IsArray()) {
-      if (key.empty() ||
-          key.find_first_not_of("0123456789") != std::string::npos) {
-        return nullptr;
-      }
-      const std::size_t index = std::stoull(key);
-      if (index >= node->AsArray().size()) return nullptr;
-      node = &node->AsArray()[index];
-    } else {
-      node = node->Get(key);
-      if (node == nullptr) return nullptr;
+CheckVerdict RunCheck(const Json& raw, const std::string& dir,
+                      std::map<std::string, Json>& report_cache) {
+  Check check;
+  try {
+    check = Check::Parse(raw);
+    if (check.file.empty()) {
+      throw std::runtime_error("check needs both \"file\" and \"metric\"");
     }
-    if (dot == std::string::npos) break;
-    start = dot + 1;
+  } catch (const std::exception& e) {
+    return {raw.GetStringOr("file", "") + " : " + raw.GetStringOr("metric", ""),
+            "FAIL", e.what()};
   }
-  return node;
-}
-
-struct CheckResult {
-  std::string label;
-  std::string verdict;  // "pass" | "FAIL" | "skip"
-  std::string detail;
-};
-
-std::string FormatNumber(double v) {
-  std::ostringstream out;
-  out << std::setprecision(10) << v;
-  return out.str();
-}
-
-CheckResult RunCheck(const Json& check, const std::string& dir,
-                     std::map<std::string, Json>& report_cache) {
-  const std::string file = check.GetStringOr("file", "");
-  const std::string metric = check.GetStringOr("metric", "");
-  CheckResult result;
-  result.label = file + " : " + metric;
-  if (file.empty() || metric.empty()) {
-    result.verdict = "FAIL";
-    result.detail = "check needs both \"file\" and \"metric\"";
-    return result;
-  }
-
-  const std::string path = dir.empty() ? file : dir + "/" + file;
+  const std::string path = dir.empty() ? check.file : dir + "/" + check.file;
   auto cached = report_cache.find(path);
   if (cached == report_cache.end()) {
-    std::ifstream probe(path);
-    if (!probe) {
-      if (check.GetBoolOr("optional", false)) {
-        result.verdict = "skip";
-        result.detail = "report missing (optional)";
-        return result;
-      }
-      result.verdict = "FAIL";
-      result.detail = "report file missing: " + path;
-      return result;
-    }
+    if (!std::ifstream(path)) return EvaluateCheck(check, nullptr);
     cached =
         report_cache.emplace(path, Json::Parse(ReadWholeFile(path))).first;
   }
-
-  const Json* node = Lookup(cached->second, metric);
-  if (node == nullptr || !node->IsNumber()) {
-    result.verdict = "FAIL";
-    result.detail = node == nullptr ? "metric path not found"
-                                    : "metric is not a number";
-    return result;
-  }
-  const double value = node->AsDouble();
-
-  // Assemble the band: baseline +/- tolerance, clipped by explicit bounds.
-  double lo = -std::numeric_limits<double>::infinity();
-  double hi = std::numeric_limits<double>::infinity();
-  if (const Json* base = check.Get("baseline"); base != nullptr) {
-    const double b = base->AsDouble();
-    const double tol = check.GetDoubleOr("tolerance_pct", 0.0) / 100.0;
-    lo = b - std::abs(b) * tol;
-    hi = b + std::abs(b) * tol;
-  }
-  if (const Json* mn = check.Get("min"); mn != nullptr) {
-    lo = std::max(lo, mn->AsDouble());
-  }
-  if (const Json* mx = check.Get("max"); mx != nullptr) {
-    hi = std::min(hi, mx->AsDouble());
-  }
-  if (lo == -std::numeric_limits<double>::infinity() &&
-      hi == std::numeric_limits<double>::infinity()) {
-    result.verdict = "FAIL";
-    result.detail = "check has no bound (baseline or min/max required)";
-    return result;
-  }
-
-  const bool ok = value >= lo && value <= hi;
-  result.verdict = ok ? "pass" : "FAIL";
-  std::ostringstream detail;
-  detail << FormatNumber(value) << " in [" << FormatNumber(lo) << ", "
-         << FormatNumber(hi) << "]";
-  result.detail = detail.str();
-  return result;
+  return EvaluateCheck(check, &cached->second);
 }
 
 }  // namespace
@@ -198,20 +107,14 @@ int main(int argc, char** argv) {
     }
 
     std::map<std::string, Json> report_cache;
-    std::size_t failures = 0;
-    std::size_t width = 0;
-    std::vector<CheckResult> results;
+    std::vector<CheckVerdict> verdicts;
+    bool failed = false;
     for (const Json& check : checks->AsArray()) {
-      results.push_back(RunCheck(check, dir, report_cache));
-      width = std::max(width, results.back().label.size());
+      verdicts.push_back(RunCheck(check, dir, report_cache));
+      failed = failed || verdicts.back().failed();
     }
-    for (const CheckResult& r : results) {
-      if (r.verdict == "FAIL") ++failures;
-      std::cout << std::left << std::setw(static_cast<int>(width) + 2)
-                << r.label << std::setw(6) << r.verdict << r.detail << "\n";
-    }
-    std::cout << results.size() << " checks, " << failures << " failed\n";
-    return failures == 0 ? 0 : 1;
+    std::cout << ctflash::campaign::FormatVerdicts(verdicts);
+    return failed ? 1 : 0;
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     return 2;
