@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/access_frequency_table.h"
 #include "core/two_level_lru.h"
@@ -12,6 +13,7 @@
 #include "ftl/mapping_table.h"
 #include "nand/error_model.h"
 #include "nand/latency_model.h"
+#include "ssd/ssd.h"
 #include "trace/synthetic.h"
 #include "util/random.h"
 
@@ -65,17 +67,20 @@ void BM_MappingTableUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_MappingTableUpdate);
 
+// Key space of the small LRU/frequency-table cases below.
+constexpr std::uint64_t kSmallKeySpace = 1 << 16;
+
 void BM_TwoLevelLruWrite(benchmark::State& state) {
-  core::TwoLevelLru lru(8192, 4096);
+  core::TwoLevelLru lru(kSmallKeySpace, 8192, 4096);
   util::Xoshiro256StarStar rng(4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lru.OnWrite(rng.UniformBelow(1 << 16)));
+    benchmark::DoNotOptimize(lru.OnWrite(rng.UniformBelow(kSmallKeySpace)));
   }
 }
 BENCHMARK(BM_TwoLevelLruWrite);
 
 void BM_TwoLevelLruReadPromote(benchmark::State& state) {
-  core::TwoLevelLru lru(8192, 4096);
+  core::TwoLevelLru lru(kSmallKeySpace, 8192, 4096);
   util::Xoshiro256StarStar rng(5);
   for (Lpn l = 0; l < 8192; ++l) lru.OnWrite(l);
   for (auto _ : state) {
@@ -85,13 +90,66 @@ void BM_TwoLevelLruReadPromote(benchmark::State& state) {
 BENCHMARK(BM_TwoLevelLruReadPromote);
 
 void BM_FreqTableOnRead(benchmark::State& state) {
-  core::AccessFrequencyTable table(2, 1 << 15);
+  core::AccessFrequencyTable table(kSmallKeySpace, 2, 1 << 15);
   util::Xoshiro256StarStar rng(6);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.OnRead(rng.UniformBelow(1 << 16)));
+    benchmark::DoNotOptimize(table.OnRead(rng.UniformBelow(kSmallKeySpace)));
   }
 }
 BENCHMARK(BM_FreqTableOnRead);
+
+/// Logical page count of the Web/SQL replay device (4 GiB Table-1 shape,
+/// 16 KiB pages, the repository benchmark's web_replay_ppb workload).
+std::uint64_t WebLogicalPages() {
+  static const std::uint64_t pages = [] {
+    constexpr std::uint32_t kPageBytes = 16 * 1024;
+    const ssd::Ssd ssd(ssd::ScaledConfig(ssd::FtlKind::kPpb, 4ull << 30,
+                                         kPageBytes, 3.0));
+    return ssd.LogicalBytes() / kPageBytes;
+  }();
+  return pages;
+}
+
+/// Zipf(1.05) LPN stream over the web key space (the replay's read skew),
+/// ranks scattered by a multiplicative hash so hot keys are not adjacent.
+std::vector<Lpn> WebKeyStream(std::uint64_t seed) {
+  const std::uint64_t pages = WebLogicalPages();
+  const util::ZipfSampler zipf(pages, 1.05);
+  util::Xoshiro256StarStar rng(seed);
+  std::vector<Lpn> keys(1 << 16);
+  for (Lpn& k : keys) k = zipf.Sample(rng) * 0x9E3779B97F4A7C15ull % pages;
+  return keys;
+}
+
+// The PPB read path asks the LRU for every page's tier; populate it with
+// web-sized capacities (hot 8 %, iron-hot 4 %) from the same key stream.
+void BM_TwoLevelLruTierOf(benchmark::State& state) {
+  const std::uint64_t pages = WebLogicalPages();
+  core::TwoLevelLru lru(pages, pages * 8 / 100, pages * 4 / 100);
+  const std::vector<Lpn> keys = WebKeyStream(9);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    i % 3 == 0 ? lru.OnRead(keys[i]) : lru.OnWrite(keys[i]);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lru.TierOf(keys[i]));
+    i = (i + 1) & (keys.size() - 1);
+  }
+}
+BENCHMARK(BM_TwoLevelLruTierOf);
+
+void BM_FreqTableFrequencyOf(benchmark::State& state) {
+  const std::uint64_t pages = WebLogicalPages();
+  core::AccessFrequencyTable table(pages, 2, pages / 4);
+  const std::vector<Lpn> keys = WebKeyStream(10);
+  for (const Lpn k : keys) table.OnRead(k);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.FrequencyOf(keys[i]));
+    i = (i + 1) & (keys.size() - 1);
+  }
+}
+BENCHMARK(BM_FreqTableFrequencyOf);
 
 void BM_VirtualBlockAllocate(benchmark::State& state) {
   auto bm = std::make_unique<ftl::BlockManager>(1 << 14, 384);

@@ -57,9 +57,10 @@ PpbFtl::PpbFtl(ftl::FlashTarget& target, const ftl::FtlConfig& ftl_config,
                /*gc_claim_reserve_blocks=*/2,
                OpenBlockCap(target.geometry().TotalBlocks(), logical_pages_,
                             target.geometry().pages_per_block, ftl_config)}),
-      lru_(AutoSize(ppb_config.hot_lru_capacity, logical_pages_, 0.08),
+      lru_(logical_pages_,
+           AutoSize(ppb_config.hot_lru_capacity, logical_pages_, 0.08),
            AutoSize(ppb_config.iron_lru_capacity, logical_pages_, 0.04)),
-      freq_(ppb_config.cold_promote_threshold,
+      freq_(logical_pages_, ppb_config.cold_promote_threshold,
             AutoSize(ppb_config.freq_table_capacity, logical_pages_, 0.25)),
       classifier_(std::move(classifier)),
       ppb_config_(ppb_config) {

@@ -1,98 +1,146 @@
 #include "core/two_level_lru.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <utility>
 
 namespace ctflash::core {
 
-TwoLevelLru::TwoLevelLru(std::size_t hot_capacity, std::size_t iron_capacity)
+TwoLevelLru::TwoLevelLru(std::uint64_t logical_pages,
+                         std::size_t hot_capacity, std::size_t iron_capacity)
     : hot_capacity_(hot_capacity), iron_capacity_(iron_capacity) {
   if (hot_capacity == 0 || iron_capacity == 0) {
     throw std::invalid_argument("TwoLevelLru: capacities must be > 0");
   }
+  if (logical_pages == 0 || logical_pages >= kNil) {
+    throw std::invalid_argument(
+        "TwoLevelLru: logical_pages must be in [1, 2^32 - 1)");
+  }
+  links_.resize(logical_pages);
+  tier_.assign(logical_pages, Tier::kNone);
 }
 
-TwoLevelLru::Tier TwoLevelLru::TierOf(Lpn lpn) const {
-  const auto it = index_.find(lpn);
-  return it == index_.end() ? Tier::kNone : it->second.tier;
+void TwoLevelLru::ThrowOutOfRange(Lpn lpn) const {
+  throw std::out_of_range("TwoLevelLru: lpn " + std::to_string(lpn) +
+                          " >= logical page count " +
+                          std::to_string(tier_.size()));
 }
 
-void TwoLevelLru::Detach(Lpn lpn) {
-  const auto it = index_.find(lpn);
-  if (it == index_.end()) return;
-  (it->second.tier == Tier::kHot ? hot_ : iron_).erase(it->second.it);
-  index_.erase(it);
+void TwoLevelLru::PushFront(Tier tier, std::uint32_t i) {
+  List& list = ListOf(tier);
+  links_[i] = Link{kNil, list.head};
+  if (list.head != kNil) {
+    links_[list.head].prev = i;
+  } else {
+    list.tail = i;
+  }
+  list.head = i;
+  ++list.size;
+  tier_[i] = tier;
 }
 
-std::optional<Lpn> TwoLevelLru::InsertHead(Lpn lpn, Tier tier) {
-  std::list<Lpn>& list = tier == Tier::kHot ? hot_ : iron_;
-  const std::size_t capacity =
-      tier == Tier::kHot ? hot_capacity_ : iron_capacity_;
-  list.push_front(lpn);
-  index_[lpn] = Node{list.begin(), tier};
-  if (list.size() <= capacity) return std::nullopt;
-  // Demote the LRU tail: iron-hot -> hot head; hot -> out (cold area).
-  const Lpn victim = list.back();
-  list.pop_back();
-  index_.erase(victim);
-  if (tier == Tier::kIronHot) return InsertHead(victim, Tier::kHot);
+void TwoLevelLru::Unlink(std::uint32_t i) {
+  List& list = ListOf(tier_[i]);
+  const Link link = links_[i];
+  if (link.prev != kNil) {
+    links_[link.prev].next = link.next;
+  } else {
+    list.head = link.next;
+  }
+  if (link.next != kNil) {
+    links_[link.next].prev = link.prev;
+  } else {
+    list.tail = link.prev;
+  }
+  --list.size;
+  tier_[i] = Tier::kNone;
+}
+
+std::optional<Lpn> TwoLevelLru::InsertHead(std::uint32_t i, Tier tier) {
+  // Demote the LRU tail on overflow: iron-hot -> hot head; hot -> out (cold
+  // area).
+  if (tier == Tier::kIronHot) {
+    PushFront(Tier::kIronHot, i);
+    if (iron_.size <= iron_capacity_) return std::nullopt;
+    i = iron_.tail;
+    Unlink(i);
+  }
+  PushFront(Tier::kHot, i);
+  if (hot_.size <= hot_capacity_) return std::nullopt;
+  const std::uint32_t victim = hot_.tail;
+  Unlink(victim);
   return victim;
 }
 
 TwoLevelLru::Outcome TwoLevelLru::OnWrite(Lpn lpn) {
-  Outcome out;
-  const Tier current = TierOf(lpn);
+  const std::uint32_t i = Index(lpn);
+  const Tier current = tier_[i];
   // Algorithm 1 lines 2-5: drop the duplicated entry before re-inserting.
-  Detach(lpn);
-  const Tier target = current == Tier::kIronHot ? Tier::kIronHot : Tier::kHot;
-  out.tier = target;
-  out.demoted_to_cold = InsertHead(lpn, target);
+  if (current != Tier::kNone) Unlink(i);
+  Outcome out;
+  out.tier = current == Tier::kIronHot ? Tier::kIronHot : Tier::kHot;
+  out.demoted_to_cold = InsertHead(i, out.tier);
   return out;
 }
 
 TwoLevelLru::Outcome TwoLevelLru::OnRead(Lpn lpn) {
+  const std::uint32_t i = Index(lpn);
   Outcome out;
-  const Tier current = TierOf(lpn);
-  if (current == Tier::kNone) return out;  // not in the hot area
-  Detach(lpn);
+  if (tier_[i] == Tier::kNone) return out;  // not in the hot area
+  Unlink(i);
   out.tier = Tier::kIronHot;  // "promote if read"
-  out.demoted_to_cold = InsertHead(lpn, Tier::kIronHot);
+  out.demoted_to_cold = InsertHead(i, Tier::kIronHot);
   return out;
 }
 
-void TwoLevelLru::Erase(Lpn lpn) { Detach(lpn); }
+void TwoLevelLru::Erase(Lpn lpn) {
+  const std::uint32_t i = Index(lpn);
+  if (tier_[i] != Tier::kNone) Unlink(i);
+}
 
 std::optional<Lpn> TwoLevelLru::HotTail() const {
-  if (hot_.empty()) return std::nullopt;
-  return hot_.back();
+  if (hot_.tail == kNil) return std::nullopt;
+  return hot_.tail;
 }
 
 std::optional<Lpn> TwoLevelLru::IronTail() const {
-  if (iron_.empty()) return std::nullopt;
-  return iron_.back();
+  if (iron_.tail == kNil) return std::nullopt;
+  return iron_.tail;
+}
+
+bool TwoLevelLru::CheckList(const List& list, Tier tier) const {
+  std::size_t walked = 0;
+  std::uint32_t prev = kNil;
+  for (std::uint32_t i = list.head; i != kNil; i = links_[i].next) {
+    // A walk longer than the recorded size means a cycle or a stray link.
+    if (i >= tier_.size() || ++walked > list.size) return false;
+    if (tier_[i] != tier || links_[i].prev != prev) return false;
+    prev = i;
+  }
+  return walked == list.size && list.tail == prev;
 }
 
 bool TwoLevelLru::CheckInvariants() const {
-  if (hot_.size() > hot_capacity_ || iron_.size() > iron_capacity_) return false;
-  if (index_.size() != hot_.size() + iron_.size()) return false;
-  for (auto it = hot_.begin(); it != hot_.end(); ++it) {
-    const auto node = index_.find(*it);
-    if (node == index_.end()) return false;
-    if (node->second.tier != Tier::kHot || node->second.it != it) return false;
+  if (hot_.size > hot_capacity_ || iron_.size > iron_capacity_) return false;
+  if (!CheckList(hot_, Tier::kHot) || !CheckList(iron_, Tier::kIronHot)) {
+    return false;
   }
-  for (auto it = iron_.begin(); it != iron_.end(); ++it) {
-    const auto node = index_.find(*it);
-    if (node == index_.end()) return false;
-    if (node->second.tier != Tier::kIronHot || node->second.it != it) return false;
-  }
-  return true;
+  const auto tracked = static_cast<std::size_t>(
+      std::count_if(tier_.begin(), tier_.end(),
+                    [](Tier t) { return t != Tier::kNone; }));
+  return tracked == hot_.size + iron_.size;
+}
+
+void TwoLevelLru::PutList(util::StateWriter& w, const List& list) const {
+  w.PutU64(list.size);
+  for (std::uint32_t i = list.head; i != kNil; i = links_[i].next) w.PutU64(i);
 }
 
 void TwoLevelLru::SaveState(util::StateWriter& w) const {
   w.Tag("2LRU");
-  w.PutU64Seq(hot_);
-  w.PutU64Seq(iron_);
+  PutList(w, hot_);
+  PutList(w, iron_);
 }
 
 void TwoLevelLru::LoadState(util::StateReader& r) {
@@ -106,15 +154,32 @@ void TwoLevelLru::LoadState(util::StateReader& r) {
                              std::to_string(iron.size()) + "/" +
                              std::to_string(iron_capacity_) + ")");
   }
-  hot_.assign(hot.begin(), hot.end());
-  iron_.assign(iron.begin(), iron.end());
-  index_.clear();
-  for (auto it = hot_.begin(); it != hot_.end(); ++it) {
-    index_[*it] = Node{it, Tier::kHot};
-  }
-  for (auto it = iron_.begin(); it != iron_.end(); ++it) {
-    index_[*it] = Node{it, Tier::kIronHot};
-  }
+  // Decode into a fresh structure so a rejected section leaves this one
+  // intact.  A duplicate would thread one link into two list positions and
+  // close a cycle, so it is rejected like an out-of-range LPN.
+  TwoLevelLru loaded(tier_.size(), hot_capacity_, iron_capacity_);
+  const auto load = [&](const std::vector<std::uint64_t>& seq, Tier tier,
+                        const char* field) {
+    // LRU -> MRU, so pushing each entry at the head rebuilds the saved order.
+    for (auto it = seq.rbegin(); it != seq.rend(); ++it) {
+      const std::uint64_t lpn = *it;
+      if (lpn >= tier_.size()) {
+        throw std::runtime_error(
+            std::string("snapshot: 2LRU ") + field + " lpn " +
+            std::to_string(lpn) + " >= logical page count " +
+            std::to_string(tier_.size()));
+      }
+      if (loaded.tier_[lpn] != Tier::kNone) {
+        throw std::runtime_error(std::string("snapshot: 2LRU ") + field +
+                                 " lpn " + std::to_string(lpn) +
+                                 " is a duplicate");
+      }
+      loaded.PushFront(tier, static_cast<std::uint32_t>(lpn));
+    }
+  };
+  load(hot, Tier::kHot, "hot");
+  load(iron, Tier::kIronHot, "iron");
+  *this = std::move(loaded);
 }
 
 }  // namespace ctflash::core

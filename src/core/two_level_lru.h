@@ -9,12 +9,17 @@
 //
 // At most one entry can cascade out of the structure per operation, so every
 // mutator returns an optional demoted LPN instead of a vector.
+//
+// Storage is dense and indexed by LPN: both recency lists are intrusive
+// doubly-linked lists threaded through one array of uint32 prev/next links,
+// plus a 1-byte tier per LPN (9 B per logical page, allocated once).  Every
+// operation is O(1) with no allocation.  LPNs at or beyond the logical page
+// count throw std::out_of_range; the structure never grows.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "util/serial.h"
 #include "util/types.h"
@@ -25,10 +30,12 @@ class TwoLevelLru {
  public:
   enum class Tier : std::uint8_t { kNone = 0, kHot = 1, kIronHot = 2 };
 
-  /// Capacities are entry counts (> 0).
-  TwoLevelLru(std::size_t hot_capacity, std::size_t iron_capacity);
+  /// `logical_pages` is the LPN key space (> 0, below 2^32 - 1); capacities
+  /// are entry counts (> 0).
+  TwoLevelLru(std::uint64_t logical_pages, std::size_t hot_capacity,
+              std::size_t iron_capacity);
 
-  Tier TierOf(Lpn lpn) const;
+  Tier TierOf(Lpn lpn) const { return tier_[Index(lpn)]; }
   bool Contains(Lpn lpn) const { return TierOf(lpn) != Tier::kNone; }
 
   struct Outcome {
@@ -52,8 +59,8 @@ class TwoLevelLru {
   /// trimmed).  No-op when absent.
   void Erase(Lpn lpn);
 
-  std::size_t HotSize() const { return hot_.size(); }
-  std::size_t IronSize() const { return iron_.size(); }
+  std::size_t HotSize() const { return hot_.size; }
+  std::size_t IronSize() const { return iron_.size; }
   std::size_t hot_capacity() const { return hot_capacity_; }
   std::size_t iron_capacity() const { return iron_capacity_; }
 
@@ -61,30 +68,51 @@ class TwoLevelLru {
   std::optional<Lpn> HotTail() const;
   std::optional<Lpn> IronTail() const;
 
-  /// O(n) structural check: map entries and list nodes agree, sizes within
-  /// capacity.
+  /// O(logical pages) structural check: every list is acyclic, its links
+  /// agree in both directions, its entries carry its tier, sizes match the
+  /// walks and stay within capacity, and no untracked LPN carries a tier.
   bool CheckInvariants() const;
 
-  /// Serializes both recency lists in MRU->LRU order; the index is rebuilt
-  /// on load.  LoadState throws when a list exceeds this instance's capacity.
+  /// Serializes both recency lists in MRU->LRU order; the links are rebuilt
+  /// on load.  LoadState throws std::runtime_error when a list exceeds this
+  /// instance's capacity, or holds an LPN at or beyond the logical page count
+  /// or one already seen in either list.
   void SaveState(util::StateWriter& w) const;
   void LoadState(util::StateReader& r);
 
  private:
-  struct Node {
-    std::list<Lpn>::iterator it;
-    Tier tier;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  struct Link {
+    std::uint32_t prev;  // towards the MRU head
+    std::uint32_t next;  // towards the LRU tail
+  };
+  struct List {
+    std::uint32_t head = kNil;  // MRU
+    std::uint32_t tail = kNil;  // LRU
+    std::size_t size = 0;
   };
 
+  std::uint32_t Index(Lpn lpn) const {
+    if (lpn >= tier_.size()) ThrowOutOfRange(lpn);
+    return static_cast<std::uint32_t>(lpn);
+  }
+  [[noreturn]] void ThrowOutOfRange(Lpn lpn) const;
+
+  List& ListOf(Tier tier) { return tier == Tier::kHot ? hot_ : iron_; }
+  void PushFront(Tier tier, std::uint32_t i);
+  void Unlink(std::uint32_t i);
   /// Inserts at the head of `tier`'s list, cascading demotions.
-  std::optional<Lpn> InsertHead(Lpn lpn, Tier tier);
-  void Detach(Lpn lpn);
+  std::optional<Lpn> InsertHead(std::uint32_t i, Tier tier);
+  bool CheckList(const List& list, Tier tier) const;
+  void PutList(util::StateWriter& w, const List& list) const;
 
   std::size_t hot_capacity_;
   std::size_t iron_capacity_;
-  std::list<Lpn> hot_;   // front = MRU
-  std::list<Lpn> iron_;  // front = MRU
-  std::unordered_map<Lpn, Node> index_;
+  std::vector<Link> links_;  // valid only where tier_ != kNone
+  std::vector<Tier> tier_;
+  List hot_;
+  List iron_;
 };
 
 }  // namespace ctflash::core
