@@ -1,83 +1,12 @@
 #include "harness.h"
 
-#include <chrono>
-#include <cstring>
 #include <iostream>
-#include <memory>
-#include <sstream>
 #include <stdexcept>
-#include <utility>
 
-#include "replay/trace_source.h"
+#include "trace/trace.h"
 #include "util/config.h"
 
 namespace ctflash::bench {
-
-Us PrefillSnapshotCache::Prefill(ssd::Ssd& ssd, std::uint64_t bytes,
-                                 std::uint64_t chunk_bytes) {
-  const std::string key = campaign::SnapshotShapeKey(ssd.config()) +
-                          "|bytes=" + std::to_string(bytes) +
-                          "|chunk=" + std::to_string(chunk_bytes);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ssd.Restore(it->second.state);
-    const double restore_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    ++restores_;
-    saved_wall_ms_ += it->second.wall_ms - restore_ms;
-    return static_cast<Us>(it->second.state.clock_us);
-  }
-  ssd::ExperimentRunner runner(ssd);
-  const Us end = runner.Prefill(bytes, chunk_bytes);
-  Entry entry{ssd.Snapshot(end), 0.0};
-  entry.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  prefill_wall_ms_ += entry.wall_ms;
-  ++distinct_prefills_;
-  cache_.emplace(key, std::move(entry));
-  return end;
-}
-
-std::string PrefillSnapshotCache::JsonObject() const {
-  std::ostringstream os;
-  os << "{\"distinct_prefills\": " << distinct_prefills_
-     << ", \"restores\": " << restores_
-     << ", \"prefill_wall_ms\": " << prefill_wall_ms_
-     << ", \"saved_wall_ms\": " << saved_wall_ms_ << "}";
-  return os.str();
-}
-
-std::vector<std::string> AddTenantTraceSources(
-    replay::ReplayPlan& plan, const std::vector<TenantTraceOption>& specs,
-    std::uint64_t logical_bytes, std::size_t tenant_count) {
-  std::vector<std::string> names;
-  const std::uint64_t slice = logical_bytes / specs.size();
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto& spec = specs[i];
-    if (spec.tenant >= tenant_count) {
-      throw std::runtime_error("--tenant-trace: unknown tenant " +
-                               std::to_string(spec.tenant));
-    }
-    replay::StreamingMsrCsvSource::Options source_opts;
-    source_opts.hostname_filter = spec.hostname;
-    replay::SourceOptions opts;
-    opts.name = spec.hostname.empty() ? "tenant" + std::to_string(spec.tenant)
-                                      : spec.hostname;
-    opts.tenant = spec.tenant;
-    opts.remap.policy = replay::RemapPolicy::kWrap;
-    opts.remap.footprint_bytes = slice;
-    opts.remap.base_bytes = slice * i;
-    plan.AddSource(std::make_unique<replay::StreamingMsrCsvSource>(spec.path,
-                                                                   source_opts),
-                   opts);
-    names.push_back(opts.name);
-  }
-  return names;
-}
 
 BenchOptions BenchOptions::FromArgs(int argc, char** argv) {
   BenchOptions o;
@@ -103,45 +32,8 @@ BenchOptions BenchOptions::FromArgs(int argc, char** argv) {
     } else if (arg == "--web-trace") {
       o.web_trace_path = next();
     } else if (arg == "--trace-file") {
-      o.trace_file = next();
-      o.media_trace_path = o.trace_file;
-      o.web_trace_path = o.trace_file;
-    } else if (arg == "--tenant-trace") {
-      // <tenant>=<csv>[@hostname]
-      const std::string spec = next();
-      const auto eq = spec.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
-        throw std::invalid_argument(
-            "--tenant-trace: expected <tenant>=<csv>[@hostname], got '" +
-            spec + "'");
-      }
-      const std::string tenant = util::Trim(spec.substr(0, eq));
-      if (tenant.empty() ||
-          tenant.find_first_not_of("0123456789") != std::string::npos ||
-          tenant.size() > 6) {
-        throw std::invalid_argument("--tenant-trace: bad tenant id '" +
-                                    tenant + "'");
-      }
-      TenantTraceOption opt;
-      opt.tenant = static_cast<std::uint32_t>(std::stoul(tenant));
-      std::string rest = spec.substr(eq + 1);
-      // The hostname separator is an '@' in the final path component only,
-      // so directory names containing '@' don't silently truncate the path.
-      const auto at = rest.rfind('@');
-      const auto slash = rest.rfind('/');
-      if (at != std::string::npos && at + 1 < rest.size() &&
-          (slash == std::string::npos || at > slash)) {
-        opt.hostname = rest.substr(at + 1);
-        rest = rest.substr(0, at);
-      }
-      if (rest.empty()) {
-        throw std::invalid_argument("--tenant-trace: empty CSV path in '" +
-                                    spec + "'");
-      }
-      opt.path = rest;
-      o.tenant_traces.push_back(opt);
-    } else if (arg == "--qd-requests") {
-      o.qd_requests = std::stoull(next());
+      o.media_trace_path = next();
+      o.web_trace_path = o.media_trace_path;
     } else if (arg == "--json") {
       o.json_path = next();
     } else if (arg == "--trace-out") {

@@ -9,15 +9,21 @@
 // the single host-write stream (one active block serializes programs) —
 // and the tail percentiles grow with the backlog.  This is the classic
 // open-loop latency/throughput curve the closed-loop figure benches
-// cannot show.
+// cannot show.  Each point replays the trace through replay::ReplayEngine
+// with a time-warp acceleration equal to the compression factor.
 //
 //   ./example_saturation_study [requests] [device_bytes]
 #include <cstdint>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "host/host_interface.h"
 #include "host/load_generator.h"
+#include "replay/replay_engine.h"
+#include "replay/replay_plan.h"
+#include "replay/trace_source.h"
 #include "ssd/experiment.h"
 #include "ssd/ssd.h"
 #include "trace/synthetic.h"
@@ -48,21 +54,32 @@ int main(int argc, char** argv) {
 
     const auto workload = trace::WebServerWorkload(footprint, requests);
     auto records = trace::SyntheticTraceGenerator(workload).Generate();
+    const Us last_arrival_us = records.back().timestamp_us;
 
     host::HostInterface host(ssd, host::HostConfig{});
     host.AdvanceTo(prefill_end);
-    host::OpenLoopGenerator generator(host, records, 1.0 / compression);
-    const auto load = generator.Run();
+    replay::ReplayPlan plan;
+    replay::SourceOptions opts;
+    opts.warp.acceleration = compression;
+    plan.AddSource(
+        std::make_unique<replay::VectorTraceSource>(std::move(records)), opts);
+    host::UtilizationProbe probe(ssd.target());
+    replay::ReplayEngine engine(host, replay::ReplayEngineConfig{});
+    const auto result = engine.Run(plan);
+    host::LoadStats load;
+    load.start_us = result.start_us;
+    load.end_us = result.end_us;
+    probe.Finish(load);
 
-    const auto all = load.AllLatency();
+    const auto all = result.AllLatency();
     const double span_s =
-        static_cast<double>(records.back().timestamp_us) / compression / 1e6;
+        static_cast<double>(last_arrival_us) / compression / 1e6;
     table.AddRow({util::TablePrinter::FormatDouble(compression, 3) + "x",
                   util::TablePrinter::FormatDouble(
                       span_s > 0 ? static_cast<double>(requests) / span_s / 1e3
                                  : 0.0,
                       1),
-                  util::TablePrinter::FormatDouble(load.Iops() / 1e3, 1),
+                  util::TablePrinter::FormatDouble(result.Iops() / 1e3, 1),
                   util::TablePrinter::FormatDouble(all.mean_us(), 1),
                   util::TablePrinter::FormatDouble(all.p99_us(), 1),
                   util::TablePrinter::FormatDouble(all.p999_us(), 1),

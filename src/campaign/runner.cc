@@ -15,11 +15,16 @@
 #include "host/load_generator.h"
 #include "obs/export.h"
 #include "obs/tracer.h"
+#include "qos/tenant_table.h"
+#include "replay/latency_cdf.h"
+#include "replay/replay_engine.h"
+#include "replay/replay_plan.h"
 #include "replay/trace_source.h"
+#include "replay/workload_profile.h"
+#include "sched/observer.h"
 #include "ssd/experiment.h"
 #include "ssd/ssd.h"
 #include "trace/synthetic.h"
-#include "trace/trace.h"
 #include "util/parallel.h"
 #include "util/stats.h"
 #include "util/types.h"
@@ -59,6 +64,35 @@ Json LoadStatsJson(const host::LoadStats& stats) {
   return out;
 }
 
+/// A byte span given either as `key` (bytes) or as `<key>_pct` (percent of
+/// the device's logical space, rounded logical/100*pct); `fallback` when
+/// neither is set.
+std::uint64_t SpanBytes(const Json& w, const std::string& key,
+                        const ssd::Ssd& ssd, std::uint64_t fallback) {
+  const Json* pct = w.Get(key + "_pct");
+  if (pct == nullptr || pct->IsNull()) return w.GetBytesOr(key, fallback);
+  if (w.Get(key) != nullptr || pct->AsUint() > 100) {
+    throw std::runtime_error("campaign: " + key + "_pct must be <= 100 and "
+                             "excludes " + key);
+  }
+  return ssd.LogicalBytes() / 100 * pct->AsUint();
+}
+
+/// One per-tenant report entry, the same shape for every workload kind:
+/// the tenant's load stats, its rate-limiter deferrals and the knee of its
+/// read-latency CDF.
+Json TenantJson(qos::TenantId tenant, const host::LoadStats& load,
+                std::uint64_t throttled) {
+  Json entry = LoadStatsJson(load);
+  entry["tenant"] = static_cast<std::uint64_t>(tenant);
+  entry["throttled"] = throttled;
+  const std::vector<replay::CdfPoint> cdf =
+      replay::LatencyCdf(load.read_latency);
+  const std::size_t knee = replay::KneeIndex(cdf);
+  entry["read_knee_us"] = knee < cdf.size() ? cdf[knee].latency_us : 0.0;
+  return entry;
+}
+
 Json RunClosedLoop(host::HostInterface& host, const Json& w,
                    std::uint64_t prefill_bytes, std::uint64_t seed) {
   host::ClosedLoopGenerator::Config cfg;
@@ -67,20 +101,37 @@ Json RunClosedLoop(host::HostInterface& host, const Json& w,
   cfg.total_requests = w.GetUintOr("requests", 10'000);
   cfg.read_fraction = w.GetDoubleOr("read_fraction", 1.0);
   cfg.request_bytes = w.GetBytesOr("request_bytes", 16 * kKiB);
-  cfg.footprint_bytes = w.GetBytesOr("footprint", prefill_bytes);
-  if (const Json* pct = w.Get("footprint_pct");
-      pct != nullptr && !pct->IsNull()) {
-    if (w.Get("footprint") != nullptr || pct->AsUint() > 100) {
-      throw std::runtime_error(
-          "campaign: footprint_pct must be <= 100 and excludes footprint");
-    }
-    cfg.footprint_bytes = host.ssd().LogicalBytes() / 100 * pct->AsUint();
-  }
+  cfg.footprint_bytes = SpanBytes(w, "footprint", host.ssd(), prefill_bytes);
   cfg.seed = seed;
   cfg.Validate();
   host::ClosedLoopGenerator gen(host, cfg);
   return LoadStatsJson(gen.Run());
 }
+
+/// Counts each tenant's dispatches until the first tenant's count reaches
+/// its own request total: the window in which every tenant still competes
+/// for the device, over which weighted shares are measured.
+class ContendedDispatchCounter final : public sched::SchedulerObserver {
+ public:
+  explicit ContendedDispatchCounter(std::vector<std::uint64_t> limits)
+      : limits_(std::move(limits)), counts_(limits_.size(), 0) {}
+
+  void OnDispatch(const sched::FlashTransaction& txn,
+                  const sched::DispatchContext&) override {
+    // GC and untagged transactions carry kNoTenant, beyond every limit.
+    if (closed_ || txn.tenant >= limits_.size()) return;
+    if (++counts_[txn.tenant] >= limits_[txn.tenant]) closed_ = true;
+  }
+
+  std::uint64_t CountOf(qos::TenantId tenant) const {
+    return tenant < counts_.size() ? counts_[tenant] : 0;
+  }
+
+ private:
+  std::vector<std::uint64_t> limits_;  ///< requests, indexed by tenant id
+  std::vector<std::uint64_t> counts_;
+  bool closed_ = false;
+};
 
 Json RunTenants(host::HostInterface& host, const Json& w,
                 std::uint64_t prefill_bytes, std::uint64_t seed) {
@@ -92,30 +143,55 @@ Json RunTenants(host::HostInterface& host, const Json& w,
   const std::size_t n = list->AsArray().size();
   // Default working sets: the prefilled space split evenly, tenant order.
   const std::uint64_t slice = prefill_bytes / n;
+  // With qos tenants every id must name one; on a tenant-less host the id
+  // only labels the result, and the untagged id kNoTenant is reserved.
+  const qos::TenantTable* table = host.tenants();
+  const std::uint64_t id_bound =
+      table != nullptr ? table->TenantCount() : qos::kNoTenant;
   std::vector<host::TenantWorkload> workloads;
+  std::vector<std::uint64_t> limits(table != nullptr ? id_bound : 0, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const Json& t = list->AsArray()[i];
+    const std::uint64_t id = t.GetUintOr("tenant", i);
+    if (id >= id_bound) {
+      throw std::runtime_error(
+          "campaign: tenants." + std::to_string(i) + ": \"tenant\" " +
+          std::to_string(id) + " is not below " +
+          (table != nullptr ? "the qos tenant count " : "the reserved id ") +
+          std::to_string(id_bound));
+    }
     host::TenantWorkload tw;
-    tw.tenant = static_cast<qos::TenantId>(t.GetUintOr("tenant", i));
+    tw.tenant = static_cast<qos::TenantId>(id);
     tw.queue_depth = static_cast<std::uint32_t>(t.GetUintOr("queue_depth", 8));
     tw.interarrival_us = static_cast<Us>(t.GetUintOr("interarrival_us", 0));
     tw.total_requests = t.GetUintOr("requests", 1'000);
     tw.read_fraction = t.GetDoubleOr("read_fraction", 1.0);
     tw.request_bytes = t.GetBytesOr("request_bytes", 16 * kKiB);
-    tw.footprint_base_bytes = t.GetBytesOr("footprint_base", i * slice);
-    tw.footprint_bytes = t.GetBytesOr("footprint", slice);
+    tw.footprint_base_bytes =
+        SpanBytes(t, "footprint_base", host.ssd(), i * slice);
+    tw.footprint_bytes = SpanBytes(t, "footprint", host.ssd(), slice);
     tw.seed = t.GetUintOr("seed", seed + i);
     tw.Validate();
+    if (table != nullptr) limits[tw.tenant] += tw.total_requests;
     workloads.push_back(std::move(tw));
   }
+  // Untagged transactions carry kNoTenant, so the contended window only
+  // exists on a host with qos tenants.
+  ContendedDispatchCounter contended(std::move(limits));
+  if (table != nullptr) host.scheduler().AttachObserver(&contended);
   host::MultiTenantGenerator gen(host, std::move(workloads));
   const std::vector<host::TenantLoadStats> per_tenant = gen.Run();
+  if (table != nullptr) host.scheduler().DetachObserver(&contended);
   Json out;
   JsonArray tenants;
   std::uint64_t requests = 0;
   for (const host::TenantLoadStats& t : per_tenant) {
-    Json entry = LoadStatsJson(t.load);
-    entry["tenant"] = static_cast<std::uint64_t>(t.tenant);
+    const std::uint64_t throttled =
+        table != nullptr ? table->StatsOf(t.tenant).throttled : 0;
+    Json entry = TenantJson(t.tenant, t.load, throttled);
+    if (table != nullptr) {
+      entry["contended_dispatches"] = contended.CountOf(t.tenant);
+    }
     requests += t.load.requests;
     tenants.push_back(std::move(entry));
   }
@@ -124,47 +200,179 @@ Json RunTenants(host::HostInterface& host, const Json& w,
   return out;
 }
 
-Json RunOpenLoopRecords(host::HostInterface& host,
-                        std::vector<trace::TraceRecord> records,
-                        double time_scale) {
-  host::OpenLoopGenerator gen(host, std::move(records), time_scale);
-  return LoadStatsJson(gen.Run());
-}
+/// Address span of the preset traces; the source's remap folds it onto
+/// the source's slice of the device.
+constexpr std::uint64_t kPresetSpanBytes = 4 * kGiB;
 
-Json RunSynthetic(host::HostInterface& host, const Json& w,
-                  std::uint64_t prefill_bytes, std::uint64_t seed) {
-  const std::string preset = w.GetStringOr("preset", "web");
-  const std::uint64_t requests = w.GetUintOr("requests", 20'000);
-  const std::uint64_t footprint = w.GetBytesOr("footprint", prefill_bytes);
-  trace::SyntheticWorkloadConfig cfg;
-  if (preset == "web") {
-    cfg = trace::WebServerWorkload(footprint, requests, seed);
-  } else if (preset == "media") {
-    cfg = trace::MediaServerWorkload(footprint, requests, seed);
+/// Width of the replay report's telemetry windows.
+constexpr Us kReplayWindowUs = 250'000;
+
+/// Builds one plan source from a replay `sources[index]` entry.  Returns
+/// the CSV source when the entry reads a file (for its resident-window
+/// report), nullptr for a preset.
+const replay::StreamingMsrCsvSource* AddReplaySource(
+    replay::ReplayPlan& plan, const Json& s, std::size_t index,
+    host::HostInterface& host, std::uint64_t seed) {
+  const std::string where =
+      "campaign: replay source " + std::to_string(index) + ": ";
+  auto fail = [&where](const std::string& what) {
+    throw std::runtime_error(where + what);
+  };
+  const std::string preset = s.GetStringOr("preset", "");
+  const std::string path = s.GetStringOr("path", "");
+  if (preset.empty() == path.empty()) {
+    fail("needs exactly one of \"preset\" and \"path\"");
+  }
+  std::unique_ptr<replay::TraceSource> source;
+  const replay::StreamingMsrCsvSource* csv = nullptr;
+  if (!preset.empty()) {
+    const std::uint64_t requests = s.GetUintOr("requests", 20'000);
+    const std::uint64_t preset_seed = s.GetUintOr("seed", seed + index);
+    trace::SyntheticWorkloadConfig cfg;
+    if (preset == "web") {
+      cfg = trace::WebServerWorkload(kPresetSpanBytes, requests, preset_seed);
+    } else if (preset == "media") {
+      cfg = trace::MediaServerWorkload(kPresetSpanBytes, requests, preset_seed);
+    } else {
+      fail("unknown \"preset\" \"" + preset +
+           "\" (expected \"web\" or \"media\")");
+    }
+    source = std::make_unique<replay::SyntheticTraceSource>(cfg);
   } else {
-    throw std::runtime_error("campaign: unknown synthetic preset \"" + preset +
-                             "\" (expected \"web\" or \"media\")");
+    replay::StreamingMsrCsvSource::Options opts;
+    opts.hostname_filter = s.GetStringOr("host", "");
+    auto file = std::make_unique<replay::StreamingMsrCsvSource>(path, opts);
+    csv = file.get();
+    source = std::move(file);
   }
-  trace::SyntheticTraceGenerator gen(cfg);
-  return RunOpenLoopRecords(host, gen.Generate(),
-                            w.GetDoubleOr("time_scale", 1.0));
+
+  replay::SourceOptions opts;
+  opts.name = s.GetStringOr("name", "source" + std::to_string(index));
+  if (const Json* t = s.Get("tenant"); t != nullptr && !t->IsNull()) {
+    const std::size_t count =
+        host.tenants() != nullptr ? host.tenants()->TenantCount() : 0;
+    if (t->AsUint() >= count) {
+      fail("\"tenant\" " + t->Dump() + " is not below the qos tenant count " +
+           std::to_string(count));
+    }
+    opts.tenant = static_cast<qos::TenantId>(t->AsUint());
+  }
+  const std::string remap = s.GetStringOr("remap", "wrap");
+  if (remap == "wrap") {
+    opts.remap.policy = replay::RemapPolicy::kWrap;
+  } else if (remap == "hash_scatter") {
+    opts.remap.policy = replay::RemapPolicy::kHashScatter;
+  } else {
+    fail("unknown \"remap\" \"" + remap +
+         "\" (expected \"wrap\" or \"hash_scatter\")");
+  }
+  // slice [i, n]: the i-th of n equal parts of the logical space.
+  std::uint64_t part = 0;
+  std::uint64_t parts = 1;
+  if (const Json* slice = s.Get("slice"); slice != nullptr && !slice->IsNull()) {
+    const bool ok = slice->IsArray() && slice->AsArray().size() == 2 &&
+                    slice->AsArray()[0].IsNumber() &&
+                    slice->AsArray()[1].IsNumber();
+    if (ok) {
+      part = slice->AsArray()[0].AsUint();
+      parts = slice->AsArray()[1].AsUint();
+    }
+    if (!ok || part >= parts) fail("\"slice\" must be [i, n] with i < n");
+  }
+  const std::uint64_t logical = host.ssd().LogicalBytes();
+  opts.remap.footprint_bytes = logical / parts;
+  opts.remap.base_bytes = logical / parts * part;
+  if (const Json* target = s.Get("target_iops");
+      target != nullptr && !target->IsNull()) {
+    if (!(target->AsDouble() > 0.0)) fail("\"target_iops\" must be > 0");
+    // The warp factor comes from the source's native rate (one profile
+    // pass; the replay rewinds the source).
+    opts.warp.target_iops = target->AsDouble();
+    const replay::WorkloadProfile profile = replay::Characterize(*source);
+    opts.warp.ResolveRateTarget(profile.requests, profile.duration_us);
+  }
+  plan.AddSource(std::move(source), opts);
+  return csv;
 }
 
-Json RunTraceFile(host::HostInterface& host, const Json& w) {
-  const Json* path = w.Get("path");
-  if (path == nullptr || !path->IsString()) {
+Json ReplayWindowJson(const replay::ReplayWindow& w) {
+  Json out;
+  out["start_us"] = w.start_us;
+  out["end_us"] = w.end_us;
+  out["arrivals"] = w.arrivals;
+  out["completions"] = w.completions;
+  out["iops"] = w.iops;
+  out["read_p50_us"] = w.read_p50_us;
+  out["read_p99_us"] = w.read_p99_us;
+  out["write_p50_us"] = w.write_p50_us;
+  out["write_p99_us"] = w.write_p99_us;
+  out["outstanding_end"] = static_cast<std::uint64_t>(w.outstanding_end);
+  return out;
+}
+
+/// Open-loop trace replay: the `sources` merge into one tenant-tagged plan
+/// that replay::ReplayEngine streams through the host interface.
+Json RunReplay(host::HostInterface& host, const Json& w, std::uint64_t seed) {
+  const Json* list = w.Get("sources");
+  if (list == nullptr || !list->IsArray() || list->AsArray().empty()) {
     throw std::runtime_error(
-        "campaign: trace workload needs a \"path\" string");
+        "campaign: replay workload needs a non-empty \"sources\" array");
   }
-  const std::uint64_t limit = w.GetUintOr("limit", 0);
-  replay::StreamingMsrCsvSource source(path->AsString());
-  std::vector<trace::TraceRecord> records;
-  while (auto record = source.Next()) {
-    records.push_back(*record);
-    if (limit != 0 && records.size() >= limit) break;
+  replay::ReplayPlan plan;
+  std::vector<const replay::StreamingMsrCsvSource*> files;
+  for (std::size_t i = 0; i < list->AsArray().size(); ++i) {
+    files.push_back(AddReplaySource(plan, list->AsArray()[i], i, host, seed));
   }
-  return RunOpenLoopRecords(host, std::move(records),
-                            w.GetDoubleOr("time_scale", 1.0));
+  replay::ReplayEngineConfig cfg;
+  cfg.window_us = kReplayWindowUs;
+  replay::ReplayEngine engine(host, cfg);
+  const replay::ReplayResult result = engine.Run(plan);
+
+  Json out;
+  out["requests"] = result.completed;
+  out["makespan_us"] = result.MakespanUs();
+  out["iops"] = result.Iops();
+  out["read_latency"] = LatencyJson(result.read_latency);
+  out["write_latency"] = LatencyJson(result.write_latency);
+  // Conservation: every emitted record is pulled, submitted and completed.
+  out["pulled"] = result.pulled;
+  out["submitted"] = result.submitted;
+  out["completed"] = result.completed;
+  std::uint64_t emitted = 0;
+  JsonArray sources;
+  for (std::size_t i = 0; i < result.sources.size(); ++i) {
+    const replay::SourceCounters& c = result.sources[i];
+    Json entry;
+    entry["name"] = c.name;
+    entry["pulled"] = c.pulled;
+    entry["emitted"] = c.emitted;
+    entry["clipped"] = c.clipped;
+    if (files[i] != nullptr) {
+      entry["peak_resident_records"] =
+          static_cast<std::uint64_t>(files[i]->PeakResidentRecords());
+    }
+    emitted += c.emitted;
+    sources.push_back(std::move(entry));
+  }
+  out["emitted"] = emitted;
+  out["sources"] = Json(std::move(sources));
+  JsonArray tenants;
+  for (const replay::TenantReplayResult& t : result.tenants) {
+    host::LoadStats load;
+    load.requests = t.completed;
+    load.start_us = t.first_submit_us;
+    load.end_us = t.last_completion_us;
+    load.read_latency = t.read_latency;
+    load.write_latency = t.write_latency;
+    tenants.push_back(TenantJson(t.tenant, load, t.throttled));
+  }
+  out["tenants"] = Json(std::move(tenants));
+  JsonArray windows;
+  for (const replay::ReplayWindow& window : result.windows) {
+    windows.push_back(ReplayWindowJson(window));
+  }
+  out["windows"] = Json(std::move(windows));
+  return out;
 }
 
 Json DeviceCountersJson(const ssd::Ssd& ssd) {
@@ -313,10 +521,8 @@ ArmResult RunCampaignArm(const ArmSpec& arm, const DeviceState* shared) {
       out.metrics = RunClosedLoop(host, w, prefill_bytes, arm.seed);
     } else if (kind == "tenants") {
       out.metrics = RunTenants(host, w, prefill_bytes, arm.seed);
-    } else if (kind == "synthetic") {
-      out.metrics = RunSynthetic(host, w, prefill_bytes, arm.seed);
-    } else if (kind == "trace") {
-      out.metrics = RunTraceFile(host, w);
+    } else if (kind == "replay") {
+      out.metrics = RunReplay(host, w, arm.seed);
     } else {
       throw std::runtime_error("campaign: unknown workload kind \"" + kind +
                                "\"");

@@ -33,12 +33,24 @@
 // "arms.0.metrics.read_latency.p99_us" strictly below 1, ...); checks are
 // parsed with the spec, so a malformed check fails before any arm runs.
 //
-// Workload kinds: "closed_loop" (fixed queue depth, uniform random; the
-// random span is `footprint` bytes or `footprint_pct` of the logical space,
-// default the prefilled span),
-// "tenants" (multi-tenant closed/paced loops; requires a `qos` tenant list),
-// "synthetic" ("web" / "media" preset traces replayed open-loop), and
-// "trace" (an MSR-format CSV replayed open-loop).
+// Workload kinds (a byte span `x` may instead be given as `x_pct`, percent
+// of the logical space, rounded logical/100*pct):
+//  * "closed_loop" — fixed queue depth, uniform random over `footprint`
+//    (default the prefilled span);
+//  * "tenants" — per-tenant closed loops or paced open loops
+//    (`interarrival_us`) over [footprint_base, +footprint), run by
+//    host::MultiTenantGenerator.  With a `qos` tenant list each submits as
+//    its tenant; with none they share the untagged path.  Each tenant's
+//    report carries its `throttled` count and, with qos tenants,
+//    `contended_dispatches` (dispatches until the first tenant's count
+//    reaches its `requests`);
+//  * "replay" — open-loop trace replay through replay::ReplayEngine over a
+//    merged plan of `sources`, each a `preset` ("web" | "media", with
+//    `requests` and `seed`) or an MSR CSV `path` (optionally filtered to
+//    one `host`), remapped (`remap`: "wrap" | "hash_scatter") into
+//    `slice: [i, n]` of the logical space, rate-warped to `target_iops`,
+//    and tagged with a qos `tenant`; the report adds 250 ms telemetry
+//    windows.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "host/load_generator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -127,14 +126,11 @@ MultiTenantGenerator::MultiTenantGenerator(HostInterface& host,
   if (workloads.empty()) {
     throw std::invalid_argument("MultiTenantGenerator: no workloads");
   }
-  if (host_.tenants() == nullptr) {
-    throw std::logic_error(
-        "MultiTenantGenerator: host interface has no tenants configured");
-  }
   const std::uint64_t logical = host_.ssd().LogicalBytes();
   for (auto& workload : workloads) {
     workload.Validate();
-    if (workload.tenant >= host_.tenants()->TenantCount()) {
+    if (host_.tenants() != nullptr &&
+        workload.tenant >= host_.tenants()->TenantCount()) {
       throw std::out_of_range("MultiTenantGenerator: unknown tenant " +
                               std::to_string(workload.tenant));
     }
@@ -192,11 +188,29 @@ void MultiTenantGenerator::SubmitNext(std::size_t idx) {
   TenantRun& run = runs_[idx];
   if (run.issued >= run.workload.total_requests) return;
   run.issued++;
-  const trace::TraceRecord record = NextRecord(run);
-  host_.SubmitAs(run.workload.tenant, record.op, record.offset_bytes,
-                 record.size_bytes, [this, idx](const HostCompletion& c) {
-                   OnComplete(idx, c);
-                 });
+  SubmitRecord(idx, NextRecord(run), std::nullopt);
+}
+
+void MultiTenantGenerator::SubmitRecord(std::size_t idx,
+                                        const trace::TraceRecord& record,
+                                        std::optional<Us> at) {
+  auto cb = [this, idx](const HostCompletion& c) { OnComplete(idx, c); };
+  const qos::TenantId tenant = runs_[idx].workload.tenant;
+  if (host_.tenants() == nullptr) {
+    if (at) {
+      host_.SubmitAt(*at, record.op, record.offset_bytes, record.size_bytes,
+                     std::move(cb));
+    } else {
+      host_.Submit(record.op, record.offset_bytes, record.size_bytes,
+                   std::move(cb));
+    }
+  } else if (at) {
+    host_.SubmitAtAs(*at, tenant, record.op, record.offset_bytes,
+                     record.size_bytes, std::move(cb));
+  } else {
+    host_.SubmitAs(tenant, record.op, record.offset_bytes, record.size_bytes,
+                   std::move(cb));
+  }
 }
 
 std::vector<TenantLoadStats> MultiTenantGenerator::Run() {
@@ -225,11 +239,8 @@ std::vector<TenantLoadStats> MultiTenantGenerator::Run() {
       for (std::uint64_t i = 0; i < w.total_requests; ++i) {
         const trace::TraceRecord record = NextRecord(run);
         run.issued++;
-        host_.SubmitAtAs(start + static_cast<Us>(i) * w.interarrival_us,
-                         w.tenant, record.op, record.offset_bytes,
-                         record.size_bytes, [this, idx](const HostCompletion& c) {
-                           OnComplete(idx, c);
-                         });
+        SubmitRecord(idx, record,
+                     start + static_cast<Us>(i) * w.interarrival_us);
       }
     }
   }
@@ -250,44 +261,6 @@ std::vector<TenantLoadStats> MultiTenantGenerator::Run() {
     results.push_back(std::move(out));
   }
   return results;
-}
-
-OpenLoopGenerator::OpenLoopGenerator(HostInterface& host,
-                                     std::vector<trace::TraceRecord> records,
-                                     double time_scale)
-    : host_(host), records_(std::move(records)), time_scale_(time_scale) {
-  if (time_scale_ <= 0.0) {
-    throw std::invalid_argument("OpenLoopGenerator: time_scale must be > 0");
-  }
-}
-
-LoadStats OpenLoopGenerator::Run() {
-  if (host_.Outstanding() != 0) {
-    throw std::logic_error("OpenLoopGenerator: host interface not idle");
-  }
-  host_.ResetStats();
-  LoadStats stats;
-  stats.start_us = host_.queue().Now();
-  UtilizationProbe probe(host_.ssd().target());
-
-  for (const auto& record : records_) {
-    // Clamp hand-built records with negative timestamps to "now" — the
-    // event queue (rightly) refuses to schedule in the past.
-    const Us at = std::max(
-        stats.start_us +
-            static_cast<Us>(std::llround(
-                static_cast<double>(record.timestamp_us) * time_scale_)),
-        host_.queue().Now());
-    host_.SubmitAt(at, record.op, record.offset_bytes, record.size_bytes);
-  }
-  host_.Run();
-
-  stats.end_us = host_.queue().Now();
-  stats.requests = host_.stats().completed;
-  stats.read_latency = host_.stats().read_latency;
-  stats.write_latency = host_.stats().write_latency;
-  probe.Finish(stats);
-  return stats;
 }
 
 }  // namespace ctflash::host

@@ -3,18 +3,17 @@
 // ClosedLoopGenerator keeps a fixed number of requests in flight (the
 // classic fio/MQSim queue-depth-driven closed loop): every completion
 // immediately submits the next request, so measured IOPS tracks what the
-// device sustains at that concurrency.  OpenLoopGenerator replays
-// trace::TraceRecord arrivals at their timestamps regardless of
-// completions — offered load is fixed and latency reveals saturation; a
-// time_scale below 1.0 compresses inter-arrival gaps to raise the arrival
-// rate without editing the trace.
+// device sustains at that concurrency.  MultiTenantGenerator runs several
+// such loops (or paced open-loop arrival processes) side by side.  Trace
+// arrivals replay open-loop through replay::ReplayEngine.
 //
-// Both generators expect an idle host interface, reset its stats, and
-// report per-run aggregates including per-resource utilization (busy-time
-// deltas over the run's makespan).
+// The generators expect an idle host interface, reset its stats, and
+// report per-run aggregates (ClosedLoopGenerator adds per-resource
+// utilization: busy-time deltas over the run's makespan).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "host/host_interface.h"
@@ -91,20 +90,6 @@ class ClosedLoopGenerator {
   std::vector<trace::TraceRecord> issued_;
 };
 
-class OpenLoopGenerator {
- public:
-  OpenLoopGenerator(HostInterface& host,
-                    std::vector<trace::TraceRecord> records,
-                    double time_scale = 1.0);
-
-  LoadStats Run();
-
- private:
-  HostInterface& host_;
-  std::vector<trace::TraceRecord> records_;
-  double time_scale_;
-};
-
 // --- multi-tenant load ------------------------------------------------------
 
 /// One tenant's arrival process for MultiTenantGenerator: either a closed
@@ -136,11 +121,14 @@ struct TenantLoadStats {
   LoadStats load;
 };
 
-/// Drives several tenants' arrival processes concurrently through one
-/// multi-tenant host interface (HostConfig::qos configured) and reports
-/// per-tenant aggregates.  The device-wide view (utilization, per-queue
-/// breakdown, tenant-table telemetry) stays readable on the host interface
-/// afterwards.
+/// Drives several tenants' arrival processes concurrently through one host
+/// interface and reports per-tenant aggregates.  With HostConfig::qos
+/// configured every process submits as its tenant; on a tenant-less host
+/// the processes share the untagged Submit/SubmitAt path (nothing
+/// arbitrates between them — the noisy-neighbor baseline) and
+/// TenantWorkload::tenant only labels the result.  The device-wide view
+/// (utilization, per-queue breakdown, tenant-table telemetry) stays
+/// readable on the host interface afterwards.
 class MultiTenantGenerator {
  public:
   MultiTenantGenerator(HostInterface& host,
@@ -163,6 +151,9 @@ class MultiTenantGenerator {
   };
 
   void SubmitNext(std::size_t idx);         ///< closed-loop chain
+  /// Submits one record for runs_[idx] now, or at `at` when given.
+  void SubmitRecord(std::size_t idx, const trace::TraceRecord& record,
+                    std::optional<Us> at);
   void OnComplete(std::size_t idx, const HostCompletion& completion);
   trace::TraceRecord NextRecord(TenantRun& run);
 

@@ -69,14 +69,16 @@ TEST(CampaignRunner, FailedArmIsCapturedNotFatal) {
     },
     "arms": [
       {"name": "good"},
-      {"name": "bad", "workload": {"kind": "trace", "path": "/nonexistent.csv"}}
+      {"name": "bad", "workload": {"kind": "replay",
+                                   "sources": [{"path": "/nonexistent.csv"}]}}
     ]
   })"));
   const CampaignResult result = runner.Run(1);
   ASSERT_EQ(result.arms.size(), 2u);
   EXPECT_TRUE(result.arms[0].ok) << result.arms[0].error;
   EXPECT_FALSE(result.arms[1].ok);
-  EXPECT_FALSE(result.arms[1].error.empty());
+  EXPECT_NE(result.arms[1].error.find("cannot open"), std::string::npos)
+      << result.arms[1].error;
 }
 
 TEST(CampaignRunner, UnknownWorkloadKindIsPerArmError) {

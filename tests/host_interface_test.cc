@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "host/load_generator.h"
+#include "replay/replay_engine.h"
+#include "replay/trace_source.h"
 #include "ssd/experiment.h"
 #include "ssd/ssd.h"
 
@@ -171,20 +173,20 @@ TEST(HostInterface, OpenLoopArrivalsHonorTimestamps) {
   HostInterface host(ssd, HostConfig{});
   host.AdvanceTo(prefill_end);
 
-  std::vector<trace::TraceRecord> records = {
+  replay::VectorTraceSource records({
       {0, trace::OpType::kRead, 0, 16 * 1024},
       {1'000'000, trace::OpType::kRead, 16 * 1024, 16 * 1024},
-  };
-  OpenLoopGenerator generator(host, records);
-  const LoadStats load = generator.Run();
+  });
+  replay::ReplayEngine engine(host, replay::ReplayEngineConfig{});
+  const replay::ReplayResult result = engine.Run(records);
 
-  EXPECT_EQ(load.requests, 2u);
+  EXPECT_EQ(result.completed, 2u);
   // 1 s apart on an idle device: neither request queues behind the other,
   // so both see bare service time (well under a millisecond)...
-  EXPECT_LT(load.read_latency.max_us(), 1000.0);
+  EXPECT_LT(result.read_latency.max_us(), 1000.0);
   // ...and the run ends shortly after the second arrival, not before.
-  EXPECT_GE(load.end_us, prefill_end + 1'000'000);
-  EXPECT_LT(load.end_us, prefill_end + 1'001'000);
+  EXPECT_GE(result.end_us, prefill_end + 1'000'000);
+  EXPECT_LT(result.end_us, prefill_end + 1'001'000);
 }
 
 TEST(HostCompletion, LatencyNeverUnderflows) {

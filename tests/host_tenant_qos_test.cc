@@ -4,7 +4,9 @@
 // bit-for-bit determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <tuple>
 #include <vector>
 
@@ -133,10 +135,22 @@ double PacedP99(const qos::QosConfig& qos, bool with_flooder) {
   return results[0].load.read_latency.p99_us();
 }
 
-/// The same paced + flooder mix with NO tenants configured: both streams
-/// funnel through the seed single-tenant path, so the flooder's ready
-/// transactions compete with the paced reads on die keys alone.
-double PacedP99NoQos() {
+/// What the hand-rolled tenant-less mix measures: the paced tenant's
+/// latencies and the flooder's completions over its own span.
+struct NoQosReference {
+  util::LatencyStats paced;
+  std::uint64_t flooder_done = 0;
+  Us t0 = 0;
+  Us last_flood_us = 0;
+};
+
+/// The paced + flooder mix with NO tenants configured, as a hand-written
+/// loop: the flooder chains closed-loop through Submit, the paced reads
+/// arrive open-loop through SubmitAt, and nothing arbitrates between them
+/// (the flooder's ready transactions compete with the paced reads on die
+/// keys alone).  The reference MultiTenantGenerator's tenant-less path
+/// must reproduce call for call.
+NoQosReference RunNoQosReference(std::uint64_t flooder_requests) {
   ssd::Ssd ssd(SmallConfig());
   const Us prefill_end = Prefill(ssd, 80);
   HostConfig cfg;
@@ -144,6 +158,7 @@ double PacedP99NoQos() {
   HostInterface host(ssd, cfg);
   host.AdvanceTo(prefill_end);
 
+  NoQosReference out;
   const std::uint64_t request = 16 * 1024;
   const std::uint64_t flood_base = ssd.LogicalBytes() / 100 * 20;
   const std::uint64_t flood_span = ssd.LogicalBytes() / 100 * 40;
@@ -152,29 +167,78 @@ double PacedP99NoQos() {
   // The chain closure outlives every pending completion (host.Run()
   // returns drained), so callbacks capture it by plain pointer.
   std::function<void()> submit_flood = [&, self = &submit_flood]() {
-    if (issued >= 40'000) return;
+    if (issued >= flooder_requests) return;
     ++issued;
     const std::uint64_t offset =
         flood_base + rng.UniformBelow(flood_span / request) * request;
     host.Submit(trace::OpType::kRead, offset, request,
-                [self](const HostCompletion&) { (*self)(); });
+                [self, &out](const HostCompletion& c) {
+                  ++out.flooder_done;
+                  out.last_flood_us = std::max(out.last_flood_us,
+                                               c.completion_us);
+                  (*self)();
+                });
   };
+  out.t0 = host.queue().Now();
   for (int i = 0; i < 32; ++i) submit_flood();
 
   util::Xoshiro256StarStar paced_rng(31);
-  util::LatencyStats paced;
   const std::uint64_t paced_span = ssd.LogicalBytes() / 100 * 20;
-  const Us t0 = host.queue().Now();
   for (int i = 0; i < 400; ++i) {
     const std::uint64_t offset =
         paced_rng.UniformBelow(paced_span / request) * request;
-    host.SubmitAt(t0 + static_cast<Us>(i) * 2'000, trace::OpType::kRead,
-                  offset, request, [&paced](const HostCompletion& c) {
-                    paced.Add(c.LatencyUs());
+    host.SubmitAt(out.t0 + static_cast<Us>(i) * 2'000, trace::OpType::kRead,
+                  offset, request, [&out](const HostCompletion& c) {
+                    out.paced.Add(c.LatencyUs());
                   });
   }
   host.Run();
-  return paced.p99_us();
+  return out;
+}
+
+double PacedP99NoQos() { return RunNoQosReference(40'000).paced.p99_us(); }
+
+TEST(TenantQos, TenantLessGeneratorMatchesHandRolledLoop) {
+  // MultiTenantGenerator on a host without tenants: the flooder listed
+  // first chains through Submit, the paced tenant through SubmitAt, so the
+  // run is the hand-written loop above call for call (read_fraction 1.0
+  // draws no random number).
+  const NoQosReference ref = RunNoQosReference(4'000);
+
+  ssd::Ssd ssd(SmallConfig());
+  const Us prefill_end = Prefill(ssd, 80);
+  HostConfig cfg;
+  cfg.device_slots = 4;
+  HostInterface host(ssd, cfg);
+  host.AdvanceTo(prefill_end);
+  TenantWorkload flooder;
+  flooder.tenant = 1;
+  flooder.queue_depth = 32;
+  flooder.total_requests = 4'000;
+  flooder.footprint_base_bytes = ssd.LogicalBytes() / 100 * 20;
+  flooder.footprint_bytes = ssd.LogicalBytes() / 100 * 40;
+  flooder.seed = 32;
+  TenantWorkload paced;
+  paced.tenant = 0;
+  paced.interarrival_us = 2'000;
+  paced.total_requests = 400;
+  paced.footprint_bytes = ssd.LogicalBytes() / 100 * 20;
+  paced.seed = 31;
+  const auto results = MultiTenantGenerator(host, {flooder, paced}).Run();
+
+  ASSERT_EQ(results.size(), 2u);
+  const LoadStats& flood = results[0].load;
+  const LoadStats& got = results[1].load;
+  EXPECT_EQ(flood.requests, ref.flooder_done);
+  EXPECT_EQ(flood.start_us, ref.t0);
+  EXPECT_EQ(flood.end_us, ref.last_flood_us);
+  EXPECT_EQ(got.read_latency.count(), ref.paced.count());
+  EXPECT_EQ(got.read_latency.mean_us(), ref.paced.mean_us());
+  EXPECT_EQ(got.read_latency.p50_us(), ref.paced.p50_us());
+  EXPECT_EQ(got.read_latency.p99_us(), ref.paced.p99_us());
+  EXPECT_EQ(got.read_latency.max_us(), ref.paced.max_us());
+  // The untagged path books nothing to any tenant: there is no table.
+  EXPECT_EQ(host.tenants(), nullptr);
 }
 
 TEST(TenantQos, NoisyNeighborIsolationBounded) {
