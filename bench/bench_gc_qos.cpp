@@ -19,19 +19,53 @@
 #include <iostream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "harness.h"
 #include "host/host_interface.h"
 #include "host/load_generator.h"
 #include "obs/export.h"
 #include "obs/tracer.h"
+#include "ssd/experiment.h"
 
 namespace {
 
 using namespace ctflash;
 
-int RunTraceSmoke(const bench::BenchOptions& options) {
+struct SmokeOptions {
+  bool trace_smoke = false;
+  std::string trace_out_path;    ///< "" = BENCH_gc_qos_trace.json
+  std::string metrics_out_path;  ///< "" = no MetricsRegistry dump
+  Us metrics_epoch_us = 0;       ///< 0 = the smoke's 10 ms default
+};
+
+SmokeOptions ParseArgs(int argc, char** argv) {
+  SmokeOptions o;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    auto next = [&]() -> std::string {
+      if (i + 1 >= argc) {
+        throw std::invalid_argument("missing value after " + arg);
+      }
+      return argv[++i];
+    };
+    if (arg == "--trace-smoke") {
+      o.trace_smoke = true;
+    } else if (arg == "--trace-out") {
+      o.trace_out_path = next();
+    } else if (arg == "--metrics-out") {
+      o.metrics_out_path = next();
+    } else if (arg == "--metrics-epoch-us") {
+      o.metrics_epoch_us = static_cast<Us>(std::stoll(next()));
+      if (o.metrics_epoch_us < 0) {
+        throw std::invalid_argument("--metrics-epoch-us must be >= 0");
+      }
+    } else {
+      throw std::invalid_argument("unknown bench option: " + arg);
+    }
+  }
+  return o;
+}
+
+int RunTraceSmoke(const SmokeOptions& options) {
   auto cfg =
       ssd::ScaledConfig(ssd::FtlKind::kPpb, 256ull << 20, 16 * 1024, 2.0);
   cfg.timing_mode = ftl::TimingMode::kQueued;
@@ -122,21 +156,8 @@ int RunTraceSmoke(const bench::BenchOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --trace-smoke is this bench's own mode switch, peeled off before the
-  // shared harness parser sees the argument list.
-  bool trace_smoke = false;
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--trace-smoke") {
-      trace_smoke = true;
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  const auto options = bench::BenchOptions::FromArgs(
-      static_cast<int>(args.size()), args.data());
-  if (!trace_smoke) {
+  const SmokeOptions options = ParseArgs(argc, argv);
+  if (!options.trace_smoke) {
     throw std::invalid_argument(
         "bench_gc_qos runs only --trace-smoke; the routing grid is "
         "bench_spec bench/specs/gc_qos.json");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -30,6 +31,62 @@ const Json* NumberAt(const Json& report, const std::string& path,
     node = nullptr;
   }
   return node;
+}
+
+/// Resolves `term` to metric (/ over), with `shown` set to "m / o = " for
+/// a ratio; nullopt with `error` set when a path does not resolve to a
+/// number or the divisor is zero.
+std::optional<double> TermValue(const Json& report, const CheckTerm& term,
+                                std::string& shown, std::string& error) {
+  const Json* num = NumberAt(report, term.metric, "metric", error);
+  if (num == nullptr) return std::nullopt;
+  double value = num->AsDouble();
+  if (!term.over.empty()) {
+    const Json* den = NumberAt(report, term.over, "over", error);
+    if (den == nullptr) return std::nullopt;
+    if (den->AsDouble() == 0.0) {
+      error = "over is zero";
+      return std::nullopt;
+    }
+    shown = FormatNumber(value) + " / " + FormatNumber(den->AsDouble()) +
+            " = ";
+    value /= den->AsDouble();
+  }
+  return value;
+}
+
+/// The ordering forms: name, relation symbol, and whether (a, b) holds.
+struct Order {
+  const char* name;
+  const char* symbol;
+  bool (*holds)(double a, double b);
+};
+constexpr Order kOrders[] = {
+    {"decreasing", ">", [](double a, double b) { return a > b; }},
+    {"nonincreasing", ">=", [](double a, double b) { return a >= b; }},
+};
+
+const Order* FindOrder(const std::string& name) {
+  for (const Order& order : kOrders) {
+    if (name == order.name) return &order;
+  }
+  return nullptr;
+}
+
+CheckTerm ParseTerm(const Json& term) {
+  if (!term.IsObject()) {
+    throw std::runtime_error("\"series\" entries must be objects");
+  }
+  for (const auto& [key, value] : term.AsObject()) {
+    if (key != "metric" && key != "over") {
+      throw std::runtime_error("series entry has unknown key \"" + key + "\"");
+    }
+  }
+  CheckTerm t{term.GetStringOr("metric", ""), term.GetStringOr("over", "")};
+  if (t.metric.empty()) {
+    throw std::runtime_error("series entry needs a \"metric\"");
+  }
+  return t;
 }
 
 }  // namespace
@@ -62,7 +119,8 @@ const Json* LookupJsonPath(const Json& root, const std::string& path) {
 Check Check::Parse(const Json& check) {
   static const std::set<std::string> kKeys = {
       "name", "file", "metric", "over", "optional", "baseline",
-      "tolerance_pct", "min", "max", "exclusive_min", "exclusive_max"};
+      "tolerance_pct", "min", "max", "exclusive_min", "exclusive_max",
+      "series", "order"};
   if (!check.IsObject()) throw std::runtime_error("check must be an object");
   for (const auto& [key, value] : check.AsObject()) {
     if (kKeys.count(key) == 0) {
@@ -75,6 +133,30 @@ Check Check::Parse(const Json& check) {
   c.metric = check.GetStringOr("metric", "");
   c.over = check.GetStringOr("over", "");
   c.optional = check.GetBoolOr("optional", false);
+  if (const Json* series = check.Get("series")) {
+    for (const auto& [key, value] : check.AsObject()) {
+      if (key != "name" && key != "file" && key != "optional" &&
+          key != "series" && key != "order") {
+        throw std::runtime_error("check mixes \"series\" with \"" + key +
+                                 "\"");
+      }
+    }
+    if (!series->IsArray() || series->AsArray().size() < 2) {
+      throw std::runtime_error("\"series\" needs at least two entries");
+    }
+    for (const Json& term : series->AsArray()) {
+      c.series.push_back(ParseTerm(term));
+    }
+    c.order = check.GetStringOr("order", "");
+    if (FindOrder(c.order) == nullptr) {
+      throw std::runtime_error(
+          "check \"order\" must be \"decreasing\" or \"nonincreasing\"");
+    }
+    return c;
+  }
+  if (check.Get("order") != nullptr) {
+    throw std::runtime_error("check has \"order\" but no \"series\"");
+  }
   if (c.metric.empty()) throw std::runtime_error("check needs a \"metric\"");
 
   // Assemble the band: baseline +/- tolerance, clipped by explicit bounds.
@@ -100,7 +182,10 @@ Check Check::Parse(const Json& check) {
 
 std::string Check::Label() const {
   if (!name.empty()) return name;
-  std::string label = file.empty() ? metric : file + " : " + metric;
+  const std::string head =
+      series.empty() ? metric
+                     : order + " series from " + series.front().metric;
+  std::string label = file.empty() ? head : file + " : " + head;
   if (!over.empty()) label += " / " + over;
   return label;
 }
@@ -115,21 +200,39 @@ CheckVerdict EvaluateCheck(const Check& check, const Json* report) {
     return out;
   }
   out.verdict = "FAIL";
-  const Json* num = NumberAt(*report, check.metric, "metric", out.detail);
-  if (num == nullptr) return out;
-  double value = num->AsDouble();
-  std::string prefix;
-  if (!check.over.empty()) {
-    const Json* den = NumberAt(*report, check.over, "over", out.detail);
-    if (den == nullptr) return out;
-    if (den->AsDouble() == 0.0) {
-      out.detail = "over is zero";
-      return out;
+  if (!check.series.empty()) {
+    const Order& order = *FindOrder(check.order);
+    std::vector<double> values;
+    for (std::size_t i = 0; i < check.series.size(); ++i) {
+      std::string shown;
+      std::string error;
+      const std::optional<double> v =
+          TermValue(*report, check.series[i], shown, error);
+      if (!v) {
+        out.detail = "series[" + std::to_string(i) + "]: " + error;
+        return out;
+      }
+      values.push_back(*v);
     }
-    prefix = FormatNumber(value) + " / " + FormatNumber(den->AsDouble()) +
-             " = ";
-    value /= den->AsDouble();
+    std::string chain = FormatNumber(values[0]);
+    std::string broken;
+    for (std::size_t i = 1; i < values.size(); ++i) {
+      chain += std::string(" ") + order.symbol + " " + FormatNumber(values[i]);
+      if (broken.empty() && !order.holds(values[i - 1], values[i])) {
+        broken = " (series[" + std::to_string(i - 1) + "] -> series[" +
+                 std::to_string(i) + "] breaks " + order.name + ")";
+      }
+    }
+    out.verdict = broken.empty() ? "pass" : "FAIL";
+    out.detail = chain + broken;
+    return out;
   }
+  std::string prefix;
+  const std::optional<double> term =
+      TermValue(*report, CheckTerm{check.metric, check.over}, prefix,
+                out.detail);
+  if (!term) return out;
+  const double value = *term;
 
   const bool ok = value >= check.min && value <= check.max &&
                   value > check.exclusive_min && value < check.exclusive_max;

@@ -16,11 +16,18 @@
 //   {"metric": "...", "over": "...", "exclusive_max": 1}   strict bounds
 //   {"metric": "...", "over": "...", "exclusive_min": 1}
 //
-// Bounds compose (the tightest wins).  A check without any bound, with an
-// unknown key, or with tolerance_pct but no baseline is malformed and is
-// rejected at parse time.  A metric path that does not resolve to a number
-// FAILS — it is never skipped; "optional": true only skips a check whose
-// report FILE is missing (bench_check, for benches gated off some CI legs).
+// Bounds compose (the tightest wins).  The ordering form instead compares
+// a series of such values with each other, listed largest first:
+//
+//   {"series": [{"metric": "...", "over": "..."}, {"metric": "..."}, ...],
+//    "order": "nonincreasing"}      (or "decreasing", strictly)
+//
+// A check without any bound, with an unknown key, with tolerance_pct but
+// no baseline, mixing "series" with "metric" or bounds, or with a series
+// of fewer than two entries is malformed and is rejected at parse time.  A
+// metric path that does not resolve to a number FAILS — it is never
+// skipped; "optional": true only skips a check whose report FILE is
+// missing (bench_check, for benches gated off some CI legs).
 // "name" labels the verdict line (default: "<file> : <metric>[ / <over>]").
 #pragma once
 
@@ -36,11 +43,20 @@ namespace ctflash::campaign {
 /// indexes an array.  Returns nullptr when any hop is missing.
 const Json* LookupJsonPath(const Json& root, const std::string& path);
 
+/// One checked value: a metric, optionally divided by a second path.
+struct CheckTerm {
+  std::string metric;  ///< dot-path of the checked number
+  std::string over;    ///< dot-path of the divisor ("" = absolute value)
+};
+
 struct Check {
   std::string name;    ///< verdict label override ("" = derived)
   std::string file;    ///< report file (bench_check); "" = the caller's report
-  std::string metric;  ///< dot-path of the checked number
+  std::string metric;  ///< dot-path of the checked number ("" with a series)
   std::string over;    ///< dot-path of the divisor ("" = absolute value)
+  /// Ordering form: the terms' values must follow `order` pairwise.
+  std::vector<CheckTerm> series;
+  std::string order;  ///< "nonincreasing" | "decreasing" ("" = bounds)
   bool optional = false;  ///< skip when the report file is missing
   /// Inclusive and strict bounds; +-inf when absent.
   double min = -std::numeric_limits<double>::infinity();

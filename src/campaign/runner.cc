@@ -200,19 +200,21 @@ Json RunTenants(host::HostInterface& host, const Json& w,
   return out;
 }
 
-/// Address span of the preset traces; the source's remap folds it onto
-/// the source's slice of the device.
+/// Address span of the open-loop preset traces; the source's remap folds
+/// it onto the source's slice of the device.  Closed-loop presets span the
+/// prefilled footprint instead.
 constexpr std::uint64_t kPresetSpanBytes = 4 * kGiB;
 
-/// Width of the replay report's telemetry windows.
+/// Width of the open-loop replay report's telemetry windows.
 constexpr Us kReplayWindowUs = 250'000;
 
-/// Builds one plan source from a replay `sources[index]` entry.  Returns
-/// the CSV source when the entry reads a file (for its resident-window
-/// report), nullptr for a preset.
+/// Builds one plan source from a replay `sources[index]` entry, generating
+/// presets over `preset_span` bytes.  Returns the CSV source when the entry
+/// reads a file (for its resident-window report), nullptr for a preset.
 const replay::StreamingMsrCsvSource* AddReplaySource(
     replay::ReplayPlan& plan, const Json& s, std::size_t index,
-    host::HostInterface& host, std::uint64_t seed) {
+    host::HostInterface& host, std::uint64_t preset_span,
+    std::uint64_t seed) {
   const std::string where =
       "campaign: replay source " + std::to_string(index) + ": ";
   auto fail = [&where](const std::string& what) {
@@ -230,9 +232,9 @@ const replay::StreamingMsrCsvSource* AddReplaySource(
     const std::uint64_t preset_seed = s.GetUintOr("seed", seed + index);
     trace::SyntheticWorkloadConfig cfg;
     if (preset == "web") {
-      cfg = trace::WebServerWorkload(kPresetSpanBytes, requests, preset_seed);
+      cfg = trace::WebServerWorkload(preset_span, requests, preset_seed);
     } else if (preset == "media") {
-      cfg = trace::MediaServerWorkload(kPresetSpanBytes, requests, preset_seed);
+      cfg = trace::MediaServerWorkload(preset_span, requests, preset_seed);
     } else {
       fail("unknown \"preset\" \"" + preset +
            "\" (expected \"web\" or \"media\")");
@@ -310,23 +312,46 @@ Json ReplayWindowJson(const replay::ReplayWindow& w) {
   return out;
 }
 
-/// Open-loop trace replay: the `sources` merge into one tenant-tagged plan
-/// that replay::ReplayEngine streams through the host interface.
-Json RunReplay(host::HostInterface& host, const Json& w, std::uint64_t seed) {
+/// Trace replay: the `sources` merge into one tenant-tagged plan that
+/// replay::ReplayEngine streams open-loop through the host interface or,
+/// with `closed_loop`, issues straight on the device, each record at
+/// max(its timestamp, the latest completion).
+Json RunReplay(host::HostInterface& host, const Json& w,
+               std::uint64_t prefill_bytes, std::uint64_t seed) {
   const Json* list = w.Get("sources");
   if (list == nullptr || !list->IsArray() || list->AsArray().empty()) {
     throw std::runtime_error(
         "campaign: replay workload needs a non-empty \"sources\" array");
   }
+  const bool closed_loop = w.GetBoolOr("closed_loop", false);
+  if (closed_loop &&
+      (host.tenants() != nullptr || host.tracer() != nullptr ||
+       host.ssd().config().ftl.gc_routing != ftl::GcRouting::kInline ||
+       prefill_bytes == 0)) {
+    throw std::runtime_error(
+        "campaign: a closed_loop replay bypasses the host interface, so it "
+        "needs inline gc_routing, no qos, no observability, and a prefill "
+        "for its presets to span");
+  }
+  const std::uint64_t preset_span =
+      closed_loop ? prefill_bytes : kPresetSpanBytes;
   replay::ReplayPlan plan;
   std::vector<const replay::StreamingMsrCsvSource*> files;
   for (std::size_t i = 0; i < list->AsArray().size(); ++i) {
-    files.push_back(AddReplaySource(plan, list->AsArray()[i], i, host, seed));
+    files.push_back(AddReplaySource(plan, list->AsArray()[i], i, host,
+                                    preset_span, seed));
   }
   replay::ReplayEngineConfig cfg;
-  cfg.window_us = kReplayWindowUs;
-  replay::ReplayEngine engine(host, cfg);
-  const replay::ReplayResult result = engine.Run(plan);
+  replay::ReplayResult result;
+  if (closed_loop) {
+    // One request in flight at a time: no queue for windows to sample.
+    cfg.start_us = host.queue().Now();
+    cfg.closed_loop = true;
+    result = replay::ReplayEngine(host.ssd(), cfg).Run(plan);
+  } else {
+    cfg.window_us = kReplayWindowUs;
+    result = replay::ReplayEngine(host, cfg).Run(plan);
+  }
 
   Json out;
   out["requests"] = result.completed;
@@ -367,11 +392,13 @@ Json RunReplay(host::HostInterface& host, const Json& w, std::uint64_t seed) {
     tenants.push_back(TenantJson(t.tenant, load, t.throttled));
   }
   out["tenants"] = Json(std::move(tenants));
-  JsonArray windows;
-  for (const replay::ReplayWindow& window : result.windows) {
-    windows.push_back(ReplayWindowJson(window));
+  if (!closed_loop) {
+    JsonArray windows;
+    for (const replay::ReplayWindow& window : result.windows) {
+      windows.push_back(ReplayWindowJson(window));
+    }
+    out["windows"] = Json(std::move(windows));
   }
-  out["windows"] = Json(std::move(windows));
   return out;
 }
 
@@ -384,6 +411,24 @@ Json DeviceCountersJson(const ssd::Ssd& ssd) {
   out["gc_erases"] = stats.gc_erases;
   out["gc_stale_copies"] = stats.gc_stale_copies;
   out["waf"] = stats.Waf();
+  if (const core::PpbFtl* ppb = ssd.ppb(); ppb != nullptr) {
+    // Where PPB's reads land: per speed class, and per hotness level at
+    // read time with the mean layer speed factor (1.0 = slowest layer).
+    const core::PpbStats& ps = ppb->ppb_stats();
+    Json reads;
+    reads["fast_reads"] = ps.fast_reads;
+    reads["slow_reads"] = ps.slow_reads;
+    static constexpr const char* kLevels[] = {"iron_hot", "hot", "cold",
+                                              "icy_cold"};
+    for (int i = 0; i < 4; ++i) {
+      Json level;
+      level["reads"] = ps.reads_at_level[i];
+      level["mean_speed_factor"] =
+          ps.MeanReadFactor(static_cast<core::HotnessLevel>(i));
+      reads["levels"][kLevels[i]] = std::move(level);
+    }
+    out["ppb"] = std::move(reads);
+  }
   return out;
 }
 
@@ -522,7 +567,7 @@ ArmResult RunCampaignArm(const ArmSpec& arm, const DeviceState* shared) {
     } else if (kind == "tenants") {
       out.metrics = RunTenants(host, w, prefill_bytes, arm.seed);
     } else if (kind == "replay") {
-      out.metrics = RunReplay(host, w, arm.seed);
+      out.metrics = RunReplay(host, w, prefill_bytes, arm.seed);
     } else {
       throw std::runtime_error("campaign: unknown workload kind \"" + kind +
                                "\"");

@@ -39,7 +39,17 @@ qos::QosConfig ParseQos(const Json& arm) {
   qos::QosConfig qos;
   const Json* list = arm.Get("qos");
   if (list == nullptr || list->IsNull()) return qos;
+  if (!list->IsArray()) {
+    throw std::runtime_error(
+        "campaign: \"qos\" must be an array of tenant objects or null, got " +
+        list->Dump());
+  }
   for (const Json& t : list->AsArray()) {
+    if (!t.IsObject()) {
+      throw std::runtime_error("campaign: qos." +
+                               std::to_string(qos.tenants.size()) +
+                               " must be a tenant object, got " + t.Dump());
+    }
     qos::TenantConfig tenant;
     tenant.name = t.GetStringOr("name", "tenant" + std::to_string(qos.tenants.size()));
     tenant.weight = static_cast<std::uint32_t>(t.GetUintOr("weight", 1));
@@ -66,7 +76,13 @@ ArmSpec ResolveArm(const Json& merged, std::uint64_t index,
   arm.index = index;
   arm.merged = merged;
 
-  DeviceSectionSpec section = ResolveDeviceSection(merged);
+  DeviceSectionSpec section;
+  try {
+    section = ResolveDeviceSection(merged);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string(e.what()) + " (arm \"" + name +
+                             "\")");
+  }
   arm.device = std::move(section.device);
   arm.host = std::move(section.host);
   arm.prefill_pct = section.prefill_pct;
@@ -193,6 +209,8 @@ DeviceSectionSpec ResolveDeviceSection(const Json& merged) {
         ppb->GetBoolOr("migrate_on_update", out.device.ppb.migrate_on_update);
     out.device.ppb.migrate_on_gc =
         ppb->GetBoolOr("migrate_on_gc", out.device.ppb.migrate_on_gc);
+    out.device.ppb.hot_size_threshold_bytes = ppb->GetBytesOr(
+        "hot_size_threshold", out.device.ppb.hot_size_threshold_bytes);
   }
   out.device.Validate();
 
@@ -293,16 +311,23 @@ void SetJsonPath(Json& root, const std::string& path, const Json& value) {
     if (part.empty()) {
       throw std::runtime_error("campaign: empty segment in path \"" + path + "\"");
     }
+    const bool index = part.find_first_not_of("0123456789") == std::string::npos;
     Json* child = nullptr;
     if (node->IsArray()) {
       JsonArray& items = node->AsArray();
-      if (part.size() > 9 ||
-          part.find_first_not_of("0123456789") != std::string::npos ||
-          std::stoull(part) >= items.size()) {
+      if (!index || part.size() > 9 || std::stoull(part) >= items.size()) {
         throw std::runtime_error("campaign: no array element \"" + part +
                                  "\" in path \"" + path + "\"");
       }
       child = &items[std::stoull(part)];
+    } else if (index) {
+      // Indexing a missing or non-array field would otherwise build an
+      // object keyed "0" that the spec parser rejects far from the typo.
+      const std::string field =
+          start == 0 ? std::string("the root") : path.substr(0, start - 1);
+      throw std::runtime_error("campaign: \"" + field + "\" in path \"" +
+                               path + "\" is not an array, so \"" + part +
+                               "\" cannot index it");
     } else {
       child = &(*node)[part];
     }

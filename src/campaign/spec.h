@@ -50,7 +50,13 @@
 //    one `host`), remapped (`remap`: "wrap" | "hash_scatter") into
 //    `slice: [i, n]` of the logical space, rate-warped to `target_iops`,
 //    and tagged with a qos `tenant`; the report adds 250 ms telemetry
-//    windows.
+//    windows.  With `closed_loop: true` the plan issues straight on the
+//    device instead, each record at max(its timestamp, the latest
+//    completion), and presets span the prefilled footprint: the paper's
+//    figure protocol (bench/specs/paper.json).
+//
+// A `ppb` object tunes the PPB FTL: `vb_split`, `max_open_fast_vbs`,
+// `migrate_on_update`, `migrate_on_gc` and `hot_size_threshold` (bytes).
 #pragma once
 
 #include <cstdint>

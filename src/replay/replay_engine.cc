@@ -19,6 +19,10 @@ ReplayEngine::ReplayEngine(host::HostInterface& host,
                            const ReplayEngineConfig& config)
     : host_(&host), config_(config) {
   config_.Validate();
+  if (config_.closed_loop) {
+    throw std::invalid_argument(
+        "ReplayEngineConfig: closed_loop needs direct mode (an ssd::Ssd)");
+  }
 }
 
 ReplayEngine::ReplayEngine(ssd::Ssd& ssd, const ReplayEngineConfig& config)
@@ -45,7 +49,6 @@ ReplayResult ReplayEngine::Run(TraceSource& source) {
 }
 
 ReplayResult ReplayEngine::RunPuller(const Puller& pull) {
-  sim::EventQueue& queue = host_ != nullptr ? host_->queue() : direct_queue_;
   if (host_ != nullptr) {
     if (host_->Outstanding() != 0) {
       throw std::logic_error("ReplayEngine: host interface not idle");
@@ -55,8 +58,7 @@ ReplayResult ReplayEngine::RunPuller(const Puller& pull) {
 
   pull_ = pull;
   result_ = ReplayResult{};
-  result_.start_us = host_ != nullptr ? queue.Now() : config_.start_us;
-  result_.end_us = result_.start_us;
+  result_.start_us = host_ != nullptr ? host_->queue().Now() : config_.start_us;
   result_.max_completion_us = result_.start_us;
   window_read_.Reset();
   window_write_.Reset();
@@ -64,20 +66,23 @@ ReplayResult ReplayEngine::RunPuller(const Puller& pull) {
   window_completions_ = 0;
   window_start_ = result_.start_us;
 
+  Us last_arrival = result_.start_us;
   staged_ = pull_();
   if (staged_) {
     result_.pulled++;
-    const Us at = std::max(result_.start_us + staged_->record.timestamp_us,
-                           queue.Now());
-    queue.ScheduleAt(at, [this](Us now) { OnArrival(now); });
-    if (host_ != nullptr) {
-      host_->Run();
+    if (host_ == nullptr) {
+      last_arrival = RunDirect();
     } else {
-      direct_queue_.RunToCompletion();
+      sim::EventQueue& queue = host_->queue();
+      const Us at = std::max(result_.start_us + staged_->record.timestamp_us,
+                             queue.Now());
+      queue.ScheduleAt(at, [this](Us now) { OnArrival(now); });
+      host_->Run();
     }
   }
+  if (host_ != nullptr) last_arrival = host_->queue().Now();
 
-  result_.end_us = std::max(queue.Now(), result_.max_completion_us);
+  result_.end_us = std::max(last_arrival, result_.max_completion_us);
   if (config_.window_us > 0 &&
       (window_arrivals_ > 0 || window_completions_ > 0)) {
     FlushWindow(std::max(result_.end_us, window_start_ + 1));
@@ -105,20 +110,34 @@ ReplayResult ReplayEngine::RunPuller(const Puller& pull) {
   return result_;
 }
 
+Us ReplayEngine::RunDirect() {
+  Us now = 0;
+  while (staged_) {
+    const TaggedRecord record = *staged_;
+    now = std::max(result_.start_us + record.record.timestamp_us, now);
+    if (config_.closed_loop) now = std::max(now, result_.max_completion_us);
+    WindowAdvance(now);
+    window_arrivals_++;
+    staged_ = pull_();
+    if (staged_) result_.pulled++;
+    Submit(record, now);
+  }
+  return now;
+}
+
 void ReplayEngine::OnArrival(Us now) {
   WindowAdvance(now);
   window_arrivals_++;
   const TaggedRecord record = *staged_;
 
-  // Pull and chain the next arrival BEFORE submitting: in direct mode the
-  // submission is synchronous and must not reorder ahead of the chain.
+  // Pull and chain the next arrival before submitting: events at equal
+  // times fire in scheduling order, so this order is part of the results.
   staged_ = pull_();
   if (staged_) {
     result_.pulled++;
-    sim::EventQueue& queue = host_ != nullptr ? host_->queue() : direct_queue_;
     const Us at =
         std::max(result_.start_us + staged_->record.timestamp_us, now);
-    queue.ScheduleAt(at, [this](Us t) { OnArrival(t); });
+    host_->queue().ScheduleAt(at, [this](Us t) { OnArrival(t); });
   }
 
   Submit(record, now);

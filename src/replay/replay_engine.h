@@ -1,5 +1,5 @@
 // ReplayEngine: drives a trace (plan or bare source) against the simulated
-// device, open-loop, with streaming admission and windowed telemetry.
+// device, with streaming admission and windowed telemetry.
 //
 // Two drive modes:
 //
@@ -10,19 +10,19 @@
 //    engine all apply.  Tenant-tagged records from a ReplayPlan route to
 //    their tenant's submission queues (SubmitAtAs semantics); per-tenant
 //    results are read back from the qos::TenantTable attribution.  This is
-//    the mode the Figures 13/14 validation and mixed-tenant studies run on.
+//    the mode the mixed-tenant and open-loop saturation studies run on.
 //
-//  * Direct mode — constructed over an ssd::Ssd.  Arrivals issue
-//    synchronous FTL requests on the engine's own event queue, reproducing
-//    the seed ExperimentRunner::ReplayOpenLoop semantics exactly for
-//    monotone traces (ssd::ExperimentRunner is rebased onto this mode).
+//  * Direct mode — constructed over an ssd::Ssd.  Each record issues a
+//    synchronous FTL request in record order, open-loop at its timestamp
+//    (the seed ExperimentRunner::ReplayOpenLoop semantics) or, with
+//    `closed_loop`, at max(its timestamp, the latest completion) — the
+//    service-time protocol the paper's figures use
+//    (ExperimentRunner::Replay).  ssd::ExperimentRunner runs on this mode.
 //
-// Either way, arrivals are CHAINED: one pending arrival event at a time,
-// pulling the next record only when the previous arrival fires.  Replay
-// memory is O(source window), never O(trace) — the event queue does not
-// materialize a million arrivals up front.  Records whose timestamps run
-// backward (out-of-order MSR arrivals) are clamped to the current simulated
-// time, preserving record order.
+// Either way, records are pulled one at a time: replay memory is
+// O(source window), never O(trace).  Records whose timestamps run backward
+// (out-of-order MSR arrivals) are clamped to the current simulated time,
+// preserving record order.
 //
 // Telemetry: total and per-window (config.window_us) arrival/completion
 // counts, IOPS, read/write p50/p99 and end-of-window queue depth, plus the
@@ -40,7 +40,6 @@
 #include "host/host_interface.h"
 #include "replay/replay_plan.h"
 #include "replay/trace_source.h"
-#include "sim/event_queue.h"
 #include "ssd/ssd.h"
 #include "util/stats.h"
 #include "util/types.h"
@@ -53,6 +52,9 @@ struct ReplayEngineConfig {
   /// Direct mode only: simulated time of trace t=0 (host mode starts at
   /// the host queue's current time).
   Us start_us = 0;
+  /// Direct mode only: issue each record at max(its timestamp, the latest
+  /// completion) instead of at its timestamp.
+  bool closed_loop = false;
 
   void Validate() const;
 };
@@ -131,7 +133,7 @@ class ReplayEngine {
   /// the host's stats (and tenant stats) like the load generators do.
   ReplayEngine(host::HostInterface& host, const ReplayEngineConfig& config);
 
-  /// Direct mode (synchronous FTL issue; seed open-loop semantics).
+  /// Direct mode (synchronous FTL issue, open- or closed-loop).
   ReplayEngine(ssd::Ssd& ssd, const ReplayEngineConfig& config);
 
   ReplayEngine(const ReplayEngine&) = delete;
@@ -147,8 +149,11 @@ class ReplayEngine {
   using Puller = std::function<std::optional<TaggedRecord>()>;
 
   ReplayResult RunPuller(const Puller& pull);
-  /// Arrival event: submit `staged`, pull the next record, chain the next
-  /// arrival event.
+  /// Direct mode: issues every record in order, synchronously; returns the
+  /// last arrival time.
+  Us RunDirect();
+  /// Host-mode arrival event: submit `staged`, pull the next record, chain
+  /// the next arrival event.
   void OnArrival(Us now);
   void Submit(const TaggedRecord& record, Us now);
   void OnComplete(const TaggedRecord& record, Us latency_us,
@@ -160,7 +165,6 @@ class ReplayEngine {
   host::HostInterface* host_ = nullptr;  ///< null in direct mode
   ssd::Ssd* ssd_ = nullptr;
   ReplayEngineConfig config_;
-  sim::EventQueue direct_queue_;  ///< direct mode's arrival clock
 
   // Per-run state.
   Puller pull_;

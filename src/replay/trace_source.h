@@ -9,6 +9,9 @@
 // over the same source.
 //
 //  * VectorTraceSource      — adapter over a materialized record vector;
+//  * SpanTraceSource        — non-owning view over records the caller keeps
+//                             alive (replays a materialized trace without
+//                             copying it);
 //  * SyntheticTraceSource   — streams trace::SyntheticTraceGenerator output
 //                             without materializing it (Reset reseeds, so
 //                             both passes see the identical stream);
@@ -27,6 +30,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,6 +69,23 @@ class VectorTraceSource final : public TraceSource {
 
  private:
   std::vector<trace::TraceRecord> records_;
+  std::size_t next_ = 0;
+};
+
+class SpanTraceSource final : public TraceSource {
+ public:
+  explicit SpanTraceSource(std::span<const trace::TraceRecord> records)
+      : records_(records) {}
+
+  std::optional<trace::TraceRecord> Next() override {
+    if (next_ >= records_.size()) return std::nullopt;
+    return records_[next_++];
+  }
+  void Reset() override { next_ = 0; }
+  std::uint64_t SizeHint() const override { return records_.size(); }
+
+ private:
+  std::span<const trace::TraceRecord> records_;
   std::size_t next_ = 0;
 };
 

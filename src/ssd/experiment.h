@@ -2,10 +2,12 @@
 //
 // Replays a block trace against an Ssd and aggregates the metrics the
 // paper's figures report: cumulative/mean read latency, cumulative/mean
-// write latency, and erased-block count.  Replay is closed-loop by default
-// (a request is issued at max(its trace timestamp, previous completion)),
-// which keeps per-request latency device-bound and deterministic; open-loop
-// replay (timestamps only) is available for queueing studies.
+// write latency, and erased-block count.  Replay is closed-loop (a request
+// is issued at max(its trace timestamp, previous completion)), which keeps
+// per-request latency device-bound and deterministic; open-loop replay
+// (timestamps only) is available for queueing studies.  Both run on
+// replay::ReplayEngine's direct mode, the loop the campaign runner's
+// closed-loop `replay` workloads use too.
 //
 // The standard protocol, matching trace-driven FTL evaluation practice, is:
 //   1. Prefill: sequentially write the trace's footprint so every read hits
@@ -18,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_queue.h"
 #include "ssd/ssd.h"
 #include "trace/trace.h"
 #include "util/stats.h"
@@ -48,39 +49,31 @@ double Enhancement(double base_total, double ours_total);
 
 class ExperimentRunner {
  public:
-  explicit ExperimentRunner(Ssd& ssd, bool closed_loop = true);
+  explicit ExperimentRunner(Ssd& ssd);
 
   /// Sequentially writes `bytes` (clipped to logical capacity) in
   /// `chunk_bytes` requests, then resets all statistics.  Returns the
   /// simulated time consumed by the prefill.
   Us Prefill(std::uint64_t bytes, std::uint64_t chunk_bytes = 256 * kKiB);
 
-  /// Replays the trace.  Requests beyond the logical capacity are clipped
+  /// Closed-loop replay.  Requests beyond the logical capacity are clipped
   /// (wrapped traces) — zero-length results are skipped.
   ExperimentResult Replay(const std::vector<trace::TraceRecord>& records,
                           const std::string& workload_name);
 
-  /// Open-loop replay driven by the discrete-event engine: every request is
-  /// an arrival event at its trace timestamp regardless of completions.
-  /// With TimingMode::kQueued this exposes queueing delay under bursts (a
-  /// latency-vs-load study); with service-time accounting it matches
-  /// Replay(closed_loop=false).  Implemented on replay::ReplayEngine's
-  /// direct mode (streaming chained arrivals, O(1) pending events); see
+  /// Open-loop replay: every request issues at its trace timestamp
+  /// regardless of completions.  With TimingMode::kQueued this exposes
+  /// queueing delay under bursts (a latency-vs-load study); see
   /// src/replay/replay_engine.h for the host-interface-driven variant that
   /// exposes queueing, scheduling, and QoS.
   ExperimentResult ReplayOpenLoop(const std::vector<trace::TraceRecord>& records,
                                   const std::string& workload_name);
 
  private:
-  /// Issues one (clipped) request and folds it into `result`; returns false
-  /// when the record was clipped away entirely.
-  bool IssueRecord(const trace::TraceRecord& record, Us arrival,
-                   ExperimentResult& result);
-  void FinalizeResult(ExperimentResult& result,
-                      const std::string& workload_name) const;
+  ExperimentResult Run(const std::vector<trace::TraceRecord>& records,
+                       const std::string& workload_name, bool closed_loop);
 
   Ssd& ssd_;
-  bool closed_loop_;
   Us clock_us_ = 0;  ///< completion time of the latest request
 };
 

@@ -87,6 +87,28 @@ TEST(CampaignJson, SetJsonPathCreatesIntermediates) {
   EXPECT_THROW(SetJsonPath(root, "a..b", Json(1)), std::runtime_error);
 }
 
+TEST(CampaignJson, SetJsonPathRejectsAnIndexIntoANonArray) {
+  // The reproducer: arm 1 has no "qos" list, so "0" cannot index one.  It
+  // used to build {"qos": {"0": {...}}}, which failed later in the spec
+  // parser with a bare kind error naming no field.
+  Json root = Json::Parse(
+      R"({"arms": [{"name": "a", "qos": [{"weight": 2}]}, {"name": "b"}]})");
+  try {
+    SetJsonPath(root, "arms.1.qos.0.weight", Json(1));
+    FAIL() << "index into an absent field accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("\"arms.1.qos\""), std::string::npos) << what;
+    EXPECT_NE(what.find("not an array"), std::string::npos) << what;
+  }
+  // An existing list still indexes; an object or a scalar does not.
+  SetJsonPath(root, "arms.0.qos.0.weight", Json(1));
+  EXPECT_EQ(LookupJsonPath(root, "arms.0.qos.0.weight")->AsUint(), 1u);
+  EXPECT_THROW(SetJsonPath(root, "arms.0.0", Json(1)), std::runtime_error);
+  EXPECT_THROW(SetJsonPath(root, "arms.0.name.0", Json(1)),
+               std::runtime_error);
+}
+
 TEST(CampaignJson, SetJsonPathIndexesExistingArrays) {
   Json root = Json::Parse(R"({"arms": [{"seed": 1}, {"seed": 2}]})");
   SetJsonPath(root, "arms.1.write_frontiers", Json(std::uint64_t{1}));
@@ -181,6 +203,21 @@ TEST(CampaignSpec, RejectsBadFields) {
       CampaignSpec::Parse(
           R"({"defaults": {"workload": {"kind": "closed_loop"}}, "grid": {"ftl": []}})"),
       std::runtime_error);
+}
+
+TEST(CampaignSpec, MalformedQosNamesTheFieldAndTheArm) {
+  for (const char* qos : {"5", R"("weighted")", R"({"0": {"weight": 1}})",
+                          "[3]"}) {
+    try {
+      CampaignSpec::Parse(std::string(R"({"arms": [{"name": "noisy", "qos": )") +
+                          qos + R"(}], "defaults": {"workload": {}}})");
+      FAIL() << "qos " << qos << " accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("qos"), std::string::npos) << what;
+      EXPECT_NE(what.find("\"noisy\""), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(CampaignSpec, ByteSizesAcceptStringsAndNumbers) {
@@ -329,6 +366,82 @@ TEST(CampaignChecks, MalformedChecksRejectedAtParse) {
                 R"({"metric": "arms.0.metrics.iops", "min": 1}]})")
                 .checks.size(),
             1u);
+}
+
+TEST(CampaignChecks, OrderingSeriesComparesValuesPairwise) {
+  const auto with = [](const std::string& series, const char* order) {
+    return Eval(("{\"series\": " + series + ", \"order\": \"" + order +
+                 "\"}").c_str());
+  };
+  const std::string down = R"([{"metric": "arms.0.metrics.p99"},
+                                {"metric": "arms.1.metrics.p99"}])";
+  const std::string up = R"([{"metric": "arms.1.metrics.p99"},
+                              {"metric": "arms.0.metrics.p99"}])";
+  const CheckVerdict pass = with(down, "decreasing");
+  EXPECT_EQ(pass.verdict, "pass");
+  EXPECT_EQ(pass.detail, "200 > 100");
+  EXPECT_EQ(pass.label, "decreasing series from arms.0.metrics.p99");
+  EXPECT_EQ(with(down, "nonincreasing").verdict, "pass");
+  // The wrong order fails, naming the first pair that breaks it.
+  const CheckVerdict fail = with(up, "nonincreasing");
+  EXPECT_EQ(fail.verdict, "FAIL");
+  EXPECT_EQ(fail.detail,
+            "100 >= 200 (series[0] -> series[1] breaks nonincreasing)");
+  // Ties pass the non-strict order only.
+  const char* kMeans = R"([{"metric": "arms.0.metrics.mean"},
+                           {"metric": "arms.1.metrics.mean"}])";
+  EXPECT_EQ(with(kMeans, "nonincreasing").verdict, "pass");
+  EXPECT_EQ(with(kMeans, "decreasing").verdict, "FAIL");
+  // Terms may be ratios: 50/50 = 1, then 100/200 = 0.5.
+  EXPECT_EQ(with(R"([{"metric": "arms.1.metrics.mean", "over": "arms.0.metrics.mean"},
+                     {"metric": "arms.1.metrics.p99", "over": "arms.0.metrics.p99"}])",
+                 "decreasing")
+                .detail,
+            "1 > 0.5");
+  // A missing path or a zero divisor fails, naming the term.
+  const CheckVerdict missing =
+      with(R"([{"metric": "arms.0.metrics.p99"}, {"metric": "arms.2.metrics.p99"}])",
+           "decreasing");
+  EXPECT_EQ(missing.verdict, "FAIL");
+  EXPECT_EQ(missing.detail, "series[1]: metric path not found");
+  const CheckVerdict zero =
+      with(R"([{"metric": "arms.0.metrics.p99", "over": "arms.0.metrics.zero"},
+               {"metric": "arms.1.metrics.p99"}])",
+           "decreasing");
+  EXPECT_EQ(zero.verdict, "FAIL");
+  EXPECT_EQ(zero.detail, "series[0]: over is zero");
+}
+
+TEST(CampaignChecks, MalformedOrderingSeriesRejectedAtParse) {
+  for (const char* check : {
+           R"({"series": [{"metric": "a"}], "order": "decreasing"})",
+           R"({"series": [{"metric": "a"}, {"metric": "b"}]})",
+           R"({"series": [{"metric": "a"}, {"metric": "b"}], "order": "increasing"})",
+           R"({"series": [{"metric": "a"}, {"over": "b"}], "order": "decreasing"})",
+           R"({"series": [{"metric": "a"}, {"metric": "b", "max": 1}],
+               "order": "decreasing"})",
+           R"({"series": [{"metric": "a"}, "b"], "order": "decreasing"})",
+           R"({"series": {"metric": "a"}, "order": "decreasing"})",
+           R"({"series": [{"metric": "a"}, {"metric": "b"}],
+               "order": "decreasing", "metric": "c"})",
+           R"({"series": [{"metric": "a"}, {"metric": "b"}],
+               "order": "decreasing", "max": 1})",
+           R"({"metric": "a", "order": "decreasing", "max": 1})"}) {
+    EXPECT_THROW(Check::Parse(Json::Parse(check)), std::runtime_error)
+        << check;
+  }
+  // In a spec the malformed series fails the parse before any arm runs.
+  EXPECT_THROW(
+      CampaignSpec::Parse(
+          R"({"defaults": {"workload": {"kind": "closed_loop"}}, "checks": [
+              {"series": [{"metric": "a"}], "order": "decreasing"}]})"),
+      std::runtime_error);
+  // bench_check's form: a report file, which optional may skip.
+  const Check gated = Check::Parse(Json::Parse(
+      R"({"file": "BENCH_paper.json", "optional": true, "order": "decreasing",
+          "series": [{"metric": "arms.0.x"}, {"metric": "arms.1.x"}]})"));
+  EXPECT_EQ(gated.Label(), "BENCH_paper.json : decreasing series from arms.0.x");
+  EXPECT_EQ(EvaluateCheck(gated, nullptr).verdict, "skip");
 }
 
 TEST(CampaignChecks, FailingCheckFailsASpecRun) {

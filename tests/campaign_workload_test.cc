@@ -1,9 +1,10 @@
 // Campaign workload kinds beyond the closed loop: the "tenants" kind's
 // per-tenant telemetry (throttle counts, the contended-dispatch window, the
 // tenant-less path) and the "replay" kind (field validation, equality with
-// a hand-built ReplayEngine run, the streaming CSV window).  Tiny devices
-// and short traces; the paper-scale runs are bench/specs/tenant_qos.json
-// and bench/specs/trace_replay.json.
+// a hand-built ReplayEngine run, the streaming CSV window, the closed-loop
+// direct mode against ExperimentRunner::Replay).  Tiny devices and short
+// traces; the paper-scale runs are bench/specs/tenant_qos.json,
+// bench/specs/trace_replay.json and bench/specs/paper.json.
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -302,6 +303,66 @@ TEST(CampaignReplay, SampleCsvSplitsByHost) {
   EXPECT_EQ(Number(arm.metrics, "completed"), Number(arm.metrics, "emitted"));
   EXPECT_EQ(Number(arm.metrics, "tenants.0.requests"),
             Number(arm.metrics, "sources.0.emitted"));
+}
+
+TEST(CampaignReplay, ClosedLoopArmEqualsExperimentRunnerReplay) {
+  // A closed-loop preset arm is the figure protocol: the preset spans the
+  // prefilled footprint, and every record issues on the device at
+  // max(timestamp, latest completion), exactly as ExperimentRunner::Replay
+  // does after a straight prefill of that footprint.
+  for (const char* ftl : {"conventional", "ppb"}) {
+    const std::string spec =
+        std::string(R"({"defaults": {"device_bytes": "64MiB", "ftl": ")") +
+        ftl + R"(", "timing_mode": "service_time", "prefill_pct": 80,
+          "workload": {"kind": "replay", "closed_loop": true, "sources": [
+            {"preset": "web", "requests": 20000, "seed": 2}]}}})";
+    const ArmResult arm = RunOneArm(spec);
+    ASSERT_TRUE(arm.ok) << arm.error;
+
+    const CampaignSpec parsed = CampaignSpec::Parse(spec);
+    const ArmSpec& a = parsed.arms.at(0);
+    ssd::Ssd ssd(a.device);
+    const std::uint64_t footprint = ssd.LogicalBytes() * 80 / 100;
+    const auto records = trace::SyntheticTraceGenerator(
+                             trace::WebServerWorkload(footprint, 20'000, 2))
+                             .Generate();
+    ssd::ExperimentRunner runner(ssd);
+    runner.Prefill(footprint, a.prefill_chunk_bytes);
+    const ssd::ExperimentResult want = runner.Replay(records, "web");
+
+    EXPECT_EQ(Number(arm.metrics, "read_latency.count"),
+              static_cast<double>(want.read_latency.count()));
+    EXPECT_EQ(Number(arm.metrics, "read_latency.mean_us"),
+              want.read_latency.mean_us());
+    EXPECT_EQ(Number(arm.metrics, "read_latency.p99_us"),
+              want.read_latency.p99_us());
+    EXPECT_EQ(Number(arm.metrics, "write_latency.mean_us"),
+              want.write_latency.mean_us());
+    EXPECT_EQ(Number(arm.metrics, "device.gc_erases"),
+              static_cast<double>(want.erase_count));
+    EXPECT_EQ(Number(arm.metrics, "device.waf"), want.waf);
+    EXPECT_EQ(Number(arm.metrics, "completed"), Number(arm.metrics, "emitted"));
+    EXPECT_EQ(arm.metrics.Get("windows"), nullptr);
+    EXPECT_EQ(arm.metrics.Get("device")->Get("ppb") != nullptr,
+              std::string(ftl) == "ppb");
+  }
+}
+
+TEST(CampaignReplay, ClosedLoopRejectsHostOnlySettings) {
+  // The closed loop bypasses the host interface, so settings that only the
+  // host path honors are refused instead of silently ignored.
+  for (const char* extra :
+       {R"("qos": [{"queues": [0, 1]}, {"queues": [2, 3]}],)",
+        R"("gc_routing": "scheduled",)",
+        R"("observability": {"phases": true},)", R"("prefill_pct": 0,)"}) {
+    const ArmResult arm = RunOneArm(
+        std::string(R"({"defaults": {"device_bytes": "32MiB", )") + extra +
+        R"( "workload": {"kind": "replay", "closed_loop": true,
+            "sources": [{"preset": "web", "requests": 100}]}}})");
+    EXPECT_FALSE(arm.ok) << extra;
+    EXPECT_NE(arm.error.find("closed_loop"), std::string::npos)
+        << extra << " -> " << arm.error;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // ReplayEngine integration tests: direct-mode parity with the seed
-// open-loop replay (the golden check for the ExperimentRunner rebase),
+// open- and closed-loop replays (the golden checks for the ExperimentRunner
+// rebase),
 // host-mode conservation, windowed telemetry, per-tenant attribution, CDF
 // extraction, and the sample-CSV two-tenant mixed replay smoke.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -90,6 +92,73 @@ TEST(DirectMode, RebasedReplayOpenLoopMatchesSeedLoopExactly) {
     EXPECT_DOUBLE_EQ(rebased.read_latency.p99_us(), seed.read_latency.p99_us());
     EXPECT_EQ(rebased.erase_count, seed.erases);
   }
+}
+
+// The seed ExperimentRunner::Replay closed loop, verbatim: each record
+// issues at max(base + timestamp, latest completion), synchronously.
+struct SeedClosedLoopResult {
+  util::LatencyStats read_latency;
+  util::LatencyStats write_latency;
+  Us clock_us = 0;
+};
+
+SeedClosedLoopResult SeedClosedLoop(
+    ssd::Ssd& ssd, const std::vector<trace::TraceRecord>& records, Us base) {
+  SeedClosedLoopResult result;
+  result.clock_us = base;
+  const std::uint64_t logical = ssd.LogicalBytes();
+  for (const auto& rec : records) {
+    const Us arrival = std::max(base + rec.timestamp_us, result.clock_us);
+    std::uint64_t offset = rec.offset_bytes;
+    std::uint64_t size = rec.size_bytes;
+    if (offset >= logical) offset %= logical;
+    if (offset + size > logical) size = logical - offset;
+    if (size == 0) continue;
+    const ftl::RequestResult r = rec.op == trace::OpType::kRead
+                                     ? ssd.Read(offset, size, arrival)
+                                     : ssd.Write(offset, size, arrival);
+    (rec.op == trace::OpType::kRead ? result.read_latency
+                                    : result.write_latency)
+        .Add(r.LatencyUs());
+    result.clock_us = std::max(result.clock_us, r.completion_us);
+  }
+  return result;
+}
+
+TEST(DirectMode, RebasedReplayMatchesSeedClosedLoopExactly) {
+  for (const auto mode :
+       {ftl::TimingMode::kServiceTime, ftl::TimingMode::kQueued}) {
+    // Offsets past the logical space exercise the wrap/clip path.
+    const auto records = WebRecords(4000, (1ull << 28) * 2);
+
+    ssd::Ssd seed_ssd(DeviceConfig(mode));
+    ssd::ExperimentRunner seed_runner(seed_ssd);
+    const Us base = seed_runner.Prefill(seed_ssd.LogicalBytes() / 2);
+    const auto seed = SeedClosedLoop(seed_ssd, records, base);
+
+    ssd::Ssd ssd(DeviceConfig(mode));
+    ssd::ExperimentRunner runner(ssd);
+    runner.Prefill(ssd.LogicalBytes() / 2);
+    const auto rebased = runner.Replay(records, "web");
+
+    EXPECT_EQ(rebased.read_latency.total_us(), seed.read_latency.total_us());
+    EXPECT_EQ(rebased.write_latency.total_us(),
+              seed.write_latency.total_us());
+    EXPECT_EQ(rebased.read_latency.count(), seed.read_latency.count());
+    EXPECT_EQ(rebased.write_latency.count(), seed.write_latency.count());
+    EXPECT_EQ(rebased.read_latency.p99_us(), seed.read_latency.p99_us());
+    EXPECT_EQ(rebased.sim_end_us, seed.clock_us);
+    EXPECT_EQ(rebased.erase_count, seed_ssd.ftl().stats().gc_erases);
+  }
+}
+
+TEST(DirectMode, ClosedLoopNeedsDirectMode) {
+  ssd::Ssd ssd(DeviceConfig(ftl::TimingMode::kQueued));
+  host::HostInterface host(ssd, host::HostConfig{});
+  ReplayEngineConfig config;
+  config.closed_loop = true;
+  EXPECT_THROW(ReplayEngine(host, config), std::invalid_argument);
+  EXPECT_NO_THROW(ReplayEngine(ssd, config));
 }
 
 TEST(DirectMode, ConservationAndWindows) {

@@ -19,6 +19,8 @@ TEST(SsdConfig, Table1MatchesPaper) {
   EXPECT_EQ(cfg.timing.page_read_us, 49);            // Read latency 49 us
   EXPECT_DOUBLE_EQ(cfg.timing.transfer_mb_per_s, 533.0);  // 533 Mbps
   EXPECT_EQ(cfg.timing.block_erase_us, 4000);        // Erase 4 ms
+  EXPECT_EQ(cfg.geometry.num_layers, 64u);           // 64-layer V-NAND
+  EXPECT_DOUBLE_EQ(cfg.timing.speed_ratio, 2.0);     // 64-layer: within 2x
 }
 
 TEST(SsdConfig, ScaledConfigShrinksDevice) {
@@ -28,6 +30,11 @@ TEST(SsdConfig, ScaledConfigShrinksDevice) {
   EXPECT_DOUBLE_EQ(cfg.timing.speed_ratio, 3.0);
   EXPECT_GE(cfg.geometry.TotalBytes(), 1ull << 30);
   EXPECT_LT(cfg.geometry.TotalBytes(), 2ull << 30);
+  // The 4 GiB device of bench/specs/paper.json keeps Table 1's block shape.
+  EXPECT_EQ(ScaledConfig(FtlKind::kPpb, 4ull << 30, 16 * 1024, 2.0)
+                .geometry.ToString(),
+            "4ch x 2chip x 2die x 2plane x 22blk x 384pg x 16384B "
+            "(64 layers, 4.125 GiB)");
 }
 
 TEST(SsdConfig, ValidationPropagates) {
