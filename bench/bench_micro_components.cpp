@@ -38,6 +38,16 @@ void BM_ZipfSample(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfSample)->Arg(1024)->Arg(65536)->Arg(1 << 20);
 
+/// Table build at the cluster's user count (CDF plus guide table).
+void BM_ZipfConstruct(benchmark::State& state) {
+  for (auto _ : state) {
+    const util::ZipfSampler zipf(static_cast<std::uint64_t>(state.range(0)),
+                                 0.9);
+    benchmark::DoNotOptimize(zipf.n());
+  }
+}
+BENCHMARK(BM_ZipfConstruct)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
+
 void BM_LatencyModelRead(benchmark::State& state) {
   nand::NandGeometry g;
   nand::NandTiming t;

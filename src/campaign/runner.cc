@@ -38,8 +38,6 @@ double WallMs(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-using util::ParallelFor;
-
 Json LatencyJson(const util::LatencyStats& stats) {
   Json out;
   out["count"] = stats.count();
@@ -616,6 +614,7 @@ CampaignResult CampaignRunner::Run(std::uint32_t workers_override) {
   result.arms.resize(spec_.arms.size());
 
   const auto t0 = std::chrono::steady_clock::now();
+  util::WorkerPool pool(workers);
 
   // Phase 1: one prefill snapshot per (shape, prefill) group.
   struct PrefillGroup {
@@ -635,7 +634,7 @@ CampaignResult CampaignRunner::Run(std::uint32_t workers_override) {
       }
       arm_group[i] = it->second;
     }
-    ParallelFor(groups.size(), workers, [&](std::size_t g) {
+    pool.Run(groups.size(), [&](std::size_t g) {
       PrefillGroup& group = groups[g];
       try {
         const ArmSpec& arm = *group.representative;
@@ -658,7 +657,7 @@ CampaignResult CampaignRunner::Run(std::uint32_t workers_override) {
   const auto t1 = std::chrono::steady_clock::now();
 
   // Phase 2: arms.
-  ParallelFor(spec_.arms.size(), workers, [&](std::size_t i) {
+  pool.Run(spec_.arms.size(), [&](std::size_t i) {
     const DeviceState* shared =
         spec_.share_prefill ? groups[arm_group[i]].state.get() : nullptr;
     result.arms[i] = RunCampaignArm(spec_.arms[i], shared);

@@ -151,16 +151,24 @@ obs::HealthSample ClusterSim::CollectHealthSample(const Device& dev) const {
   return s;
 }
 
-void ClusterSim::GenerateEpoch(std::uint32_t epoch, ClusterResult& result) {
-  const Us start = run_start_us_ + static_cast<Us>(epoch) * spec_.epoch_us;
+void ClusterSim::DrawEpoch() {
   const double period_us = 1e6 / spec_.rate_iops;
   const auto count = static_cast<std::uint64_t>(
       static_cast<double>(spec_.epoch_us) / period_us);
+  arrivals_.resize(count);
+  for (Arrival& a : arrivals_) {
+    a.user = zipf_->Sample(rng_);
+    a.is_read = rng_.Bernoulli(spec_.read_fraction);
+  }
+}
+
+void ClusterSim::RouteEpoch(std::uint32_t epoch, ClusterResult& result) {
+  const Us start = run_start_us_ + static_cast<Us>(epoch) * spec_.epoch_us;
+  const double period_us = 1e6 / spec_.rate_iops;
   EpochSummary& summary = result.epochs[epoch];
-  for (std::uint64_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < arrivals_.size(); ++i) {
     const Us at = start + static_cast<Us>(static_cast<double>(i) * period_us);
-    const std::uint64_t user = zipf_->Sample(rng_);
-    const bool is_read = rng_.Bernoulli(spec_.read_fraction);
+    const auto [user, is_read] = arrivals_[i];
     const DeviceId target = router_->PrimaryOf(router_->ShardOfUser(user));
     ++summary.arrivals;
     if (devices_[target].fatal) {
@@ -195,13 +203,14 @@ void ClusterSim::RunDeviceEpoch(Device& dev, std::uint32_t epoch, Us until) {
         } else {
           ++dev.submitted_writes;
         }
-        const bool is_read = op.is_read;
+        // Two captured pointers fit std::function's local buffer, so a
+        // user request allocates no callback.
         dev.host->SubmitAtAs(
             op.at, kUserTenant, kind, op.offset, op.bytes,
-            [this, &dev, is_read](const host::HostCompletion& c) {
+            [this, &dev](const host::HostCompletion& c) {
               const std::uint32_t e = EpochOf(c.completion_us);
               const Us lat = c.LatencyUs();
-              if (is_read) {
+              if (c.request.op == trace::OpType::kRead) {
                 dev.epoch_read[e].Add(lat);
                 dev.run_read.Add(lat);
                 ++dev.completed_reads;
@@ -410,17 +419,22 @@ ClusterResult ClusterSim::Run(std::uint32_t workers_override) {
   result.config = spec_.ConfigSummary();
   BuildFleet(result);
 
+  util::WorkerPool pool(workers);
+  DrawEpoch();
   for (std::uint32_t e = 0; e < spec_.epochs; ++e) {
-    GenerateEpoch(e, result);
+    RouteEpoch(e, result);
     const Us until = run_start_us_ + static_cast<Us>(e + 1) * spec_.epoch_us;
-    util::ParallelFor(devices_.size(), workers, [&](std::size_t d) {
+    pool.Start(devices_.size(), [this, e, until](std::size_t d) {
       RunDeviceEpoch(devices_[d], e, until);
     });
+    // The devices run epoch e while this thread draws epoch e+1.
+    if (e + 1 < spec_.epochs) DrawEpoch();
+    pool.Wait();
     DirectorStep(e, result);
   }
   // Drain whatever is still in flight; completions land in the last epoch.
   const std::uint32_t last = spec_.epochs - 1;
-  util::ParallelFor(devices_.size(), workers, [&](std::size_t d) {
+  pool.Run(devices_.size(), [&](std::size_t d) {
     Device& dev = devices_[d];
     if (dev.fatal) return;
     try {

@@ -8,9 +8,11 @@
 // Time advances in EPOCH LOCKSTEP, which is what makes the simulation both
 // parallel and bit-deterministic for any worker count:
 //
-//   1. serial    generate this epoch's user arrivals (evenly spaced at the
-//                cluster rate; users drawn Zipf; routed to their shard's
-//                primary) and bucket them per device;
+//   1. serial    route this epoch's user arrivals (evenly spaced at the
+//                cluster rate; users drawn Zipf) to their shard's primary
+//                and bucket them per device.  The draws themselves depend on
+//                no fleet state, so the calling thread makes epoch e+1's
+//                while the workers run phase 2 of epoch e;
 //   2. parallel  each device independently submits its bucket through its
 //                own HostInterface/EventQueue and advances to the epoch
 //                boundary — devices share no simulation state, so worker
@@ -164,9 +166,19 @@ class ClusterSim {
     std::uint64_t epoch_timeouts = 0;  ///< this epoch (in-flight at death)
   };
 
+  /// One user arrival as drawn, before routing.
+  struct Arrival {
+    std::uint64_t user = 0;
+    bool is_read = true;
+  };
+
   void BuildFleet(ClusterResult& result);
-  /// Phase 1: generate + route this epoch's arrivals into device buckets.
-  void GenerateEpoch(std::uint32_t epoch, ClusterResult& result);
+  /// Phase 1, draw: one epoch's users and read/write mix into `arrivals_`.
+  /// Touches only rng_, zipf_ and arrivals_, so it can run alongside
+  /// phase 2 of the previous epoch.
+  void DrawEpoch();
+  /// Phase 1, route: bucket the drawn arrivals of `epoch` per device.
+  void RouteEpoch(std::uint32_t epoch, ClusterResult& result);
   /// Phase 2 body: submit the device's bucket and advance to `until`.
   void RunDeviceEpoch(Device& dev, std::uint32_t epoch, Us until);
   /// Phase 3: detect failures, remap, emit next epoch's rebuild traffic.
@@ -191,8 +203,9 @@ class ClusterSim {
   /// director phase, so byte-deterministic for any worker count.
   std::vector<obs::HealthMonitor> health_;
   std::vector<obs::SloMonitor> slo_;
-  util::Xoshiro256StarStar rng_;       ///< serial-phase draws only
+  util::Xoshiro256StarStar rng_;  ///< DrawEpoch only
   std::unique_ptr<util::ZipfSampler> zipf_;
+  std::vector<Arrival> arrivals_;  ///< the next epoch to route
   Us run_start_us_ = 0;
   std::uint64_t prefill_bytes_ = 0;
   std::uint64_t offset_slots_ = 0;

@@ -1,6 +1,9 @@
 #include "util/random.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace ctflash::util {
@@ -56,6 +59,9 @@ bool Xoshiro256StarStar::Bernoulli(double p) {
 ZipfSampler::ZipfSampler(std::uint64_t n, double theta) : n_(n), theta_(theta) {
   if (n == 0) throw std::invalid_argument("ZipfSampler: n must be > 0");
   if (theta < 0.0) throw std::invalid_argument("ZipfSampler: theta must be >= 0");
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("ZipfSampler: n must fit in 32 bits");
+  }
   cdf_.resize(n);
   double sum = 0.0;
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -64,12 +70,32 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double theta) : n_(n), theta_(theta) {
   }
   for (auto& v : cdf_) v /= sum;
   cdf_.back() = 1.0;  // guard against fp round-off at the tail
+
+  // K is a power of two, so cdf * K and u * K are exact and
+  // cdf_[i] >= k / K  <=>  floor(cdf_[i] * K) >= k.  Record the first rank
+  // of each floor value, then carry the minimum down over the values no
+  // rank hits.  Both passes are branch-free.
+  const std::uint64_t k_count =
+      std::min<std::uint64_t>(std::bit_floor(n), std::uint64_t{1} << 18);
+  guide_scale_ = static_cast<double>(k_count);
+  guide_.assign(k_count + 1, static_cast<std::uint32_t>(n));
+  for (std::uint64_t i = n; i-- > 0;) {
+    guide_[static_cast<std::size_t>(cdf_[i] * guide_scale_)] =
+        static_cast<std::uint32_t>(i);
+  }
+  for (std::size_t k = k_count; k-- > 0;) {
+    guide_[k] = std::min(guide_[k], guide_[k + 1]);
+  }
 }
 
-std::uint64_t ZipfSampler::Sample(Xoshiro256StarStar& rng) const {
-  const double u = rng.UniformDouble();
-  // Binary search for the first cdf_[i] >= u.
-  std::uint64_t lo = 0, hi = n_ - 1;
+std::uint64_t ZipfSampler::RankOf(double u) const {
+  // g / K <= u < (g + 1) / K, so the answer lies in
+  // [guide_[g], guide_[g + 1]]; binary-search that bracket for the first
+  // cdf_[i] >= u.  u = 1 uses the last bracket.
+  const std::size_t last = guide_.size() - 2;
+  const std::size_t g =
+      std::min(static_cast<std::size_t>(u * guide_scale_), last);
+  std::uint64_t lo = guide_[g], hi = guide_[g + 1];
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
     if (cdf_[mid] < u) {

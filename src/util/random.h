@@ -71,8 +71,12 @@ class Xoshiro256StarStar {
 };
 
 /// Zipf(theta) sampler over ranks [0, n).  theta = 0 is uniform; larger theta
-/// skews mass toward low ranks.  Uses the classic inverse-CDF table for exact
-/// sampling; construction is O(n), sampling is O(log n).
+/// skews mass toward low ranks.  Exact inverse-CDF sampling: a draw u maps to
+/// the first rank whose CDF reaches u.  An index ("guide table", Chen & Asau
+/// 1974) of K = min(2^18, largest power of two <= n) entries narrows each
+/// search to the ranks between two adjacent multiples of 1/K, so sampling
+/// costs O(1) expected probes (O(log n) worst case) and returns exactly the
+/// rank a binary search over the whole CDF would.  Construction is O(n).
 class ZipfSampler {
  public:
   ZipfSampler(std::uint64_t n, double theta);
@@ -81,7 +85,12 @@ class ZipfSampler {
   double theta() const { return theta_; }
 
   /// Draws a rank in [0, n); rank 0 is the most popular item.
-  std::uint64_t Sample(Xoshiro256StarStar& rng) const;
+  std::uint64_t Sample(Xoshiro256StarStar& rng) const {
+    return RankOf(rng.UniformDouble());
+  }
+
+  /// The first rank whose CDF is >= u, for u in [0, 1].
+  std::uint64_t RankOf(double u) const;
 
   /// Probability mass of a given rank.
   double Pmf(std::uint64_t rank) const;
@@ -90,6 +99,9 @@ class ZipfSampler {
   std::uint64_t n_;
   double theta_;
   std::vector<double> cdf_;  // cdf_[i] = P(rank <= i)
+  /// guide_[k] = first i with cdf_[i] >= k / K, for k in [0, K].
+  std::vector<std::uint32_t> guide_;
+  double guide_scale_ = 1.0;  // K
 };
 
 }  // namespace ctflash::util

@@ -157,6 +157,75 @@ TEST(Zipf, SingleItemAlwaysRankZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(zipf.Sample(rng), 0u);
 }
 
+/// The CDF table and binary search ZipfSampler used before its guide table,
+/// copied verbatim: the reference the indexed search must match rank for
+/// rank.
+class BinarySearchZipf {
+ public:
+  BinarySearchZipf(std::uint64_t n, double theta) : n_(n) {
+    cdf_.resize(n);
+    double sum = 0.0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
+      cdf_[i] = sum;
+    }
+    for (auto& v : cdf_) v /= sum;
+    cdf_.back() = 1.0;  // guard against fp round-off at the tail
+  }
+
+  std::uint64_t RankOf(double u) const {
+    // Binary search for the first cdf_[i] >= u.
+    std::uint64_t lo = 0, hi = n_ - 1;
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (cdf_[mid] < u) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+ private:
+  std::uint64_t n_;
+  std::vector<double> cdf_;
+};
+
+TEST(Zipf, GuideTableMatchesBinarySearch) {
+  // Every guide-table boundary k / K (K <= 2^18 is a power of two, so each
+  // one is some j / 2^18), the value just below it, and the largest value
+  // UniformDouble can return.
+  std::vector<double> edges;
+  constexpr std::uint64_t kFinest = std::uint64_t{1} << 18;
+  for (std::uint64_t j = 0; j <= kFinest; ++j) {
+    const double u = static_cast<double>(j) / static_cast<double>(kFinest);
+    edges.push_back(u);
+    if (j > 0) edges.push_back(std::nextafter(u, 0.0));
+  }
+  edges.push_back(1.0 - 0x1.0p-53);
+
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{7},
+        std::uint64_t{1000}, std::uint64_t{65536}, std::uint64_t{1} << 20}) {
+    for (const double theta : {0.0, 0.5, 0.9, 1.2}) {
+      const ZipfSampler zipf(n, theta);
+      const BinarySearchZipf reference(n, theta);
+      Xoshiro256StarStar rng(n * 31 + static_cast<std::uint64_t>(theta * 10));
+      Xoshiro256StarStar reference_rng = rng;
+      for (int i = 0; i < 100'000; ++i) {
+        const std::uint64_t want = reference.RankOf(reference_rng.UniformDouble());
+        ASSERT_EQ(zipf.Sample(rng), want)
+            << "n " << n << " theta " << theta << " draw " << i;
+      }
+      for (const double u : edges) {
+        ASSERT_EQ(zipf.RankOf(u), reference.RankOf(u))
+            << "n " << n << " theta " << theta << " u " << u;
+      }
+    }
+  }
+}
+
 /// Property sweep: for a range of thetas, higher theta concentrates more
 /// probability mass on the top rank.
 class ZipfThetaSweep : public ::testing::TestWithParam<double> {};
